@@ -21,12 +21,8 @@ from .model import (
 from .entropy import (
     Conditional,
     Determined,
-    Independent,
-    SupportAtMost,
-    Uniform,
     UniformSupport,
     check,
-    entropy_display,
     support_of_scheme,
 )
 from .solver import (

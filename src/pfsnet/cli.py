@@ -245,10 +245,7 @@ def _default_family(args, k: int):
     if name == "set":
         return families.set_family(args.n)
     if name in ("virtual-eq", "virtual-or"):
-        import itertools as it
-
-        b = args.b or 2
-        return [{"Z0": families.conditional_switch_z0(t)} for t in it.product((0, 1), repeat=b)]
+        return families.theta_family(args.b or 2)
     raise _UsageError(f"no default candidate family for {name}")
 
 

@@ -3,12 +3,12 @@ uniform over a finite support.
 
 Every joint distribution arising here is the image of independent uniform
 messages under deterministic maps, hence uniform over its support; this lets
-all checks run on integer counts with no floating point and no tolerances.
+every check run on the support set alone, with no floating point and no
+tolerances.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -43,10 +43,6 @@ class UniformSupport:
     def columns(self, names: Iterable[str]) -> tuple:
         return tuple(self.index_of(n) for n in names)
 
-    def project(self, names: Iterable[str]) -> frozenset:
-        cols = self.columns(names)
-        return frozenset(tuple(t[c] for c in cols) for t in self.support)
-
 
 # --- conditions -------------------------------------------------------------
 
@@ -65,33 +61,6 @@ class Determined:
 
 
 @dataclass(frozen=True)
-class Independent:
-    left: tuple
-    right: tuple
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "left", tuple(self.left))
-        object.__setattr__(self, "right", tuple(self.right))
-
-
-@dataclass(frozen=True)
-class Uniform:
-    over: tuple
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "over", tuple(self.over))
-
-
-@dataclass(frozen=True)
-class SupportAtMost:
-    over: tuple
-    bound: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "over", tuple(self.over))
-
-
-@dataclass(frozen=True)
 class Conditional:
     """Inner condition must hold on every slice of the named variables."""
 
@@ -102,15 +71,7 @@ class Conditional:
         object.__setattr__(self, "given", tuple(self.given))
 
 
-InfoCondition = Union[Determined, Independent, Uniform, SupportAtMost, Conditional]
-
-
-def _counts(dist: UniformSupport, cols: tuple) -> dict:
-    out: dict = {}
-    for t in dist.support:
-        key = tuple(t[c] for c in cols)
-        out[key] = out.get(key, 0) + 1
-    return out
+InfoCondition = Union[Determined, Conditional]
 
 
 def check(dist: UniformSupport, cond: InfoCondition) -> bool:
@@ -125,23 +86,6 @@ def check(dist: UniformSupport, cond: InfoCondition) -> bool:
             if seen.setdefault(key, val) != val:
                 return False
         return True
-    if isinstance(cond, Independent):
-        lcols = dist.columns(cond.left)
-        rcols = dist.columns(cond.right)
-        joint = _counts(dist, lcols + rcols)
-        lc = _counts(dist, lcols)
-        rc = _counts(dist, rcols)
-        total = len(dist.support)
-        for a, ca in lc.items():
-            for b, cb in rc.items():
-                if joint.get(a + b, 0) * total != ca * cb:
-                    return False
-        return True
-    if isinstance(cond, Uniform):
-        counts = _counts(dist, dist.columns(cond.over))
-        return len(set(counts.values())) <= 1
-    if isinstance(cond, SupportAtMost):
-        return len(dist.project(cond.over)) <= cond.bound
     if isinstance(cond, Conditional):
         cols = dist.columns(cond.given)
         slices: dict = {}
@@ -152,17 +96,6 @@ def check(dist: UniformSupport, cond: InfoCondition) -> bool:
             for part in slices.values()
         )
     raise TypeError(f"unknown condition {cond!r}")
-
-
-def entropy_display(dist: UniformSupport, over: Iterable[str]) -> float:
-    """Shannon entropy in bits of the marginal on ``over``.
-
-    Display only: decisions in this package never compare entropies, they use
-    the exact checks above.
-    """
-    counts = _counts(dist, dist.columns(over))
-    total = sum(counts.values())
-    return -sum((c / total) * math.log2(c / total) for c in counts.values())
 
 
 # --- supports induced by coding schemes -------------------------------------

@@ -112,6 +112,22 @@ def conditional_switch_z0_grid(theta: Mapping, b1: int, b2: int,
     )
 
 
+def theta_family(b: int) -> list:
+    """Z0 of a conditional switch for every state vector (theta_1..theta_b)
+    over a select of size b, in lexicographic order of theta."""
+    return [{"Z0": conditional_switch_z0(t)} for t in itertools.product((0, 1), repeat=b)]
+
+
+def theta_grid_family(b1: int, b2: int) -> list:
+    """Z0 of a conditional switch for every state grid theta[w1, w2] over a
+    two-part select (W1, W2), in lexicographic order of the grid's bits."""
+    cells = list(itertools.product(range(b1), range(b2)))
+    return [
+        {"Z0": conditional_switch_z0_grid(dict(zip(cells, bits)), b1, b2)}
+        for bits in itertools.product((0, 1), repeat=b1 * b2)
+    ]
+
+
 def set_entry(theta: Sequence[int]) -> dict:
     """Candidate tables for all 2n outputs of a physical array of n switches
     in states theta (no output flips)."""

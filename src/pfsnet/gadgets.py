@@ -6,9 +6,10 @@ declared list of information conditions (up to relabelling of each input).  A
 *gate* additionally produces output signals that any solution must force to
 satisfy the conditions.
 
-Fragments are synthesized from the condition lists by two rules: a condition
-"targets are determined by S" becomes a demand node receiving S, and an
-existential internal signal becomes a sized edge out of a node receiving its
+Each gadget is defined once, by its fragment-builder calls; the conditions
+are read off those calls: a demand node receiving S for targets T states "T
+is determined by S", an internal signal is an existential variable (any
+function of its inputs into its alphabet), and an output is determined by its
 inputs.  Every constructed gadget therefore has two independent acceptance
 oracles: solvability of the composed network (``accepted_set``) and direct
 enumeration over the declared conditions (``entropy_accepted_set``); the two
@@ -72,7 +73,6 @@ class ConditionSpec:
     existentials: tuple = ()
     derived: tuple = ()
     slice_on: tuple = ()  # check all conditions on every slice of these ports
-    size_bounds: tuple = ()  # (var name, SizeSpec) support-size bounds
 
 
 @dataclass(frozen=True)
@@ -86,18 +86,13 @@ class Gadget:
     sig_in: Mapping[str, str]  # SIGNAL_IN port -> distributor node
     sig_out: Mapping[str, tuple]  # SIGNAL_OUT port -> (edge id, distributor node)
     cond_targets: tuple  # nodes that receive condition signals when bound
-    spec: ConditionSpec
-    condition_wiring: tuple = ()  # ports wired to every cond_target when bound
+    spec: ConditionSpec  # spec.slice_on ports are wired to every cond_target when bound
 
     def port(self, name: str) -> Port:
         for p in self.ports:
             if p.name == name:
                 return p
         raise KeyError(f"{self.name}: no port {name!r}")
-
-    @property
-    def is_checker(self) -> bool:
-        return all(p.kind is not PortKind.SIGNAL_OUT for p in self.ports)
 
     def message_ports(self) -> list:
         return [p for p in self.ports if p.kind is PortKind.MESSAGE_IN]
@@ -132,12 +127,21 @@ class Gadget:
 
 @dataclass(frozen=True)
 class _Sig:
-    edge: str
+    name: str  # variable name in the gadget's conditions
     dist: str
     size: SizeSpec
 
 
+def _names(inputs: Sequence) -> tuple:
+    return tuple(x.name if isinstance(x, _Sig) else x for x in inputs)
+
+
 class _Builder:
+    """Builds a gadget's fragment and, from the same calls, the information
+    conditions the fragment enforces: a demand is a ``Determined`` condition,
+    an internal signal an existential variable, an output a function of its
+    inputs."""
+
     def __init__(self, name: str):
         self.name = name
         self.ports: list = []
@@ -148,6 +152,9 @@ class _Builder:
         self.sig_in: dict = {}
         self.sig_out: dict = {}
         self.cond_targets: list = []
+        self.conditions: list = []
+        self.existentials: list = []
+        self.derived: list = []
         self._n = 0
 
     def _tag(self) -> str:
@@ -166,7 +173,7 @@ class _Builder:
         dist = f"{name}.bc"
         self.nodes.append((dist, False))  # becomes a broadcast relay once fed
         self.sig_in[name] = dist
-        return _Sig("", dist, spec)
+        return _Sig(name, dist, spec)
 
     def _producer(self, label: str, inputs: Sequence, size, out_port: Optional[str]) -> _Sig:
         spec = size if isinstance(size, SizeSpec) else fixed(size)
@@ -179,19 +186,34 @@ class _Builder:
         self.cond_targets.append(node)
         self.edges.append(Edge(eid, node, dist, spec))
         self._feed(node, inputs)
-        sig = _Sig(eid, dist, spec)
         if out_port is not None:
             self.ports.append(Port(out_port, PortKind.SIGNAL_OUT, spec))
             self.sig_out[out_port] = (eid, dist)
-        return sig
+        return _Sig(label, dist, spec)
 
-    def internal(self, label: str, inputs: Sequence, size) -> _Sig:
+    def internal(self, label: str, inputs: Sequence, size: int) -> _Sig:
+        self.existentials.append(ExistentialVar(label, _names(inputs), size))
         return self._producer(label, inputs, size, None)
 
     def output(self, port: str, inputs: Sequence, size) -> _Sig:
+        self.conditions.append(entropy.Determined((port,), _names(inputs)))
         return self._producer(port, inputs, size, port)
 
+    def parity(self, label: str, a: str, b: str) -> _Sig:
+        """Internal binary signal that the fragment forces to be the parity of
+        messages a and b up to relabelling; the conditions state it exactly."""
+        y = self._producer(label, [a, b], 2, None)
+        self._demand("xd1", [a], [y, b])
+        self._demand("xd2", [b], [y, a])
+        table = {(x, z): x ^ z for x in (0, 1) for z in (0, 1)}
+        self.derived.append(DerivedVar(label, (a, b), 2, table))
+        return y
+
     def demand(self, label: str, targets: Sequence[str], given: Sequence) -> None:
+        self.conditions.append(entropy.Determined(tuple(targets), _names(given)))
+        self._demand(label, targets, given)
+
+    def _demand(self, label: str, targets: Sequence[str], given: Sequence) -> None:
         tag = self._tag()
         node = f"{tag}.{label}"
         self.nodes.append((node, False))
@@ -209,7 +231,7 @@ class _Builder:
                 if x not in self.node_ports[node]:
                     self.node_ports[node].append(x)
 
-    def build(self, spec: ConditionSpec, condition_wiring: Sequence[str] = ()) -> Gadget:
+    def build(self, slice_on: Sequence[str] = ()) -> Gadget:
         return Gadget(
             name=self.name,
             ports=tuple(self.ports),
@@ -220,100 +242,63 @@ class _Builder:
             sig_in=dict(self.sig_in),
             sig_out=dict(self.sig_out),
             cond_targets=tuple(self.cond_targets),
-            spec=spec,
-            condition_wiring=tuple(condition_wiring),
+            spec=ConditionSpec(
+                conditions=tuple(self.conditions),
+                existentials=tuple(self.existentials),
+                derived=tuple(self.derived),
+                slice_on=tuple(slice_on),
+            ),
         )
-
-
-def _parity_table() -> dict:
-    return {(a, b): a ^ b for a in (0, 1) for b in (0, 1)}
 
 
 # ---------------------------------------------------------------------------
 # constructors
 
 
+def _xor(gate: bool) -> Gadget:
+    b = _Builder("xor_gate" if gate else "xor_checker")
+    b.message_in("M1", 2)
+    b.message_in("M2", 2)
+    y = b.output("Y", ["M1", "M2"], 2) if gate else b.signal_in("Y", 2)
+    b.demand("d1", ["M1"], [y, "M2"])
+    b.demand("d2", ["M2"], [y, "M1"])
+    return b.build()
+
+
 def xor_checker() -> Gadget:
     """Inputs M1, M2 (binary messages) and a binary signal Y; accepts exactly
     when Y is the parity of M1, M2 up to relabelling."""
-    b = _Builder("xor_checker")
-    b.message_in("M1", 2)
-    b.message_in("M2", 2)
-    y = b.signal_in("Y", 2)
-    b.demand("d1", ["M1"], [y, "M2"])
-    b.demand("d2", ["M2"], [y, "M1"])
-    return b.build(
-        ConditionSpec(
-            conditions=(
-                entropy.Determined(("M1",), ("Y", "M2")),
-                entropy.Determined(("M2",), ("Y", "M1")),
-            )
-        )
-    )
+    return _xor(gate=False)
 
 
 def xor_gate() -> Gadget:
     """Produces a binary output forced to be the parity of its two binary
     message inputs, up to relabelling (the butterfly network)."""
-    b = _Builder("xor_gate")
-    b.message_in("M1", 2)
-    b.message_in("M2", 2)
-    y = b.output("Y", ["M1", "M2"], 2)
-    b.demand("d1", ["M1"], [y, "M2"])
-    b.demand("d2", ["M2"], [y, "M1"])
-    return b.build(
-        ConditionSpec(
-            conditions=(
-                entropy.Determined(("M1",), ("Y", "M2")),
-                entropy.Determined(("M2",), ("Y", "M1")),
-            )
-        )
-    )
+    return _xor(gate=True)
+
+
+def _bstate(b: int, name: str, gate: bool) -> Gadget:
+    bd = _Builder(name)
+    bd.message_in("X", 2)
+    bd.message_in("Y", b)
+    z = bd.output("Z", ["X", "Y"], b + 1) if gate else bd.signal_in("Z", b + 1)
+    internals = [bd.internal(f"Z{i}", ["X", "Y"], b + 1) for i in range(2, b + 1)]
+    bd.demand("dy1", ["Y"], [z])
+    for i, sig in enumerate(internals, start=2):
+        bd.demand(f"dy{i}", ["Y"], [sig])
+    bd.demand("dx", ["X"], [z] + internals)
+    return bd.build()
 
 
 def tristate_checker() -> Gadget:
     """Binary messages X, Y and a 3-valued signal Z; accepts exactly the
     tristate-buffer behaviours: Z pins one Y-branch to a constant and passes X
-    through on the other, up to relabelling."""
-    b = _Builder("tristate_checker")
-    b.message_in("X", 2)
-    b.message_in("Y", 2)
-    z = b.signal_in("Z", 3)
-    zt = b.internal("Zt", ["X", "Y"], 3)
-    b.demand("dy1", ["Y"], [z])
-    b.demand("dy2", ["Y"], [zt])
-    b.demand("dx", ["X"], [z, zt])
-    return b.build(
-        ConditionSpec(
-            conditions=(
-                entropy.Determined(("Y",), ("Z",)),
-                entropy.Determined(("Y",), ("Zt",)),
-                entropy.Determined(("X",), ("Z", "Zt")),
-            ),
-            existentials=(ExistentialVar("Zt", ("X", "Y"), 3),),
-        )
-    )
+    through on the other, up to relabelling (``bstate_checker`` with b=2)."""
+    return _bstate(2, "tristate_checker", gate=False)
 
 
 def tristate_gate() -> Gadget:
-    b = _Builder("tristate_gate")
-    b.message_in("X", 2)
-    b.message_in("Y", 2)
-    z = b.output("Z", ["X", "Y"], 3)
-    zt = b.internal("Zt", ["X", "Y"], 3)
-    b.demand("dy1", ["Y"], [z])
-    b.demand("dy2", ["Y"], [zt])
-    b.demand("dx", ["X"], [z, zt])
-    return b.build(
-        ConditionSpec(
-            conditions=(
-                entropy.Determined(("Y",), ("Z",)),
-                entropy.Determined(("Y",), ("Zt",)),
-                entropy.Determined(("X",), ("Z", "Zt")),
-            ),
-            existentials=(ExistentialVar("Zt", ("X", "Y"), 3),),
-        )
-    )
+    return _bstate(2, "tristate_gate", gate=True)
 
 
 def bstate_checker(b: int) -> Gadget:
@@ -322,26 +307,7 @@ def bstate_checker(b: int) -> Gadget:
     jointly determine X."""
     if b < 2:
         raise ValueError(f"bstate arity must be >= 2, got {b}")
-    bd = _Builder(f"bstate{b}_checker")
-    bd.message_in("X", 2)
-    bd.message_in("Y", b)
-    z = bd.signal_in("Z", b + 1)
-    internals = [bd.internal(f"Z{i}", ["X", "Y"], b + 1) for i in range(2, b + 1)]
-    bd.demand("dy1", ["Y"], [z])
-    for i, sig in enumerate(internals, start=2):
-        bd.demand(f"dy{i}", ["Y"], [sig])
-    bd.demand("dx", ["X"], [z] + internals)
-    names = tuple(f"Z{i}" for i in range(2, b + 1))
-    return bd.build(
-        ConditionSpec(
-            conditions=(
-                entropy.Determined(("Y",), ("Z",)),
-                *(entropy.Determined(("Y",), (n,)) for n in names),
-                entropy.Determined(("X",), ("Z",) + names),
-            ),
-            existentials=tuple(ExistentialVar(n, ("X", "Y"), b + 1) for n in names),
-        )
-    )
+    return _bstate(b, f"bstate{b}_checker", gate=False)
 
 
 def switch_gate() -> Gadget:
@@ -351,24 +317,13 @@ def switch_gate() -> Gadget:
     b = _Builder("switch_gate")
     b.message_in("M0", 2)
     b.message_in("M1", 2)
-    y = b.internal("XY", ["M0", "M1"], 2)
-    b.demand("xd1", ["M0"], [y, "M1"])
-    b.demand("xd2", ["M1"], [y, "M0"])
+    y = b.parity("XY", "M0", "M1")
     z0 = b.output("Z0", ["M0", "M1"], 2)
     z1 = b.output("Z1", ["M0", "M1"], 2)
     b.demand("dzz", ["M0", "M1"], [z0, z1])
     b.demand("dz0", ["M0", "M1"], [z0, y])
     b.demand("dz1", ["M0", "M1"], [z1, y])
-    return b.build(
-        ConditionSpec(
-            conditions=(
-                entropy.Determined(("M0", "M1"), ("Z0", "Z1")),
-                entropy.Determined(("M0", "M1"), ("Z0", "XOR")),
-                entropy.Determined(("M0", "M1"), ("Z1", "XOR")),
-            ),
-            derived=(DerivedVar("XOR", ("M0", "M1"), 2, _parity_table()),),
-        )
-    )
+    return b.build()
 
 
 def set_checker(n: int, theta: Iterable[tuple]) -> Gadget:
@@ -387,15 +342,11 @@ def set_checker(n: int, theta: Iterable[tuple]) -> Gadget:
     for i in range(1, n + 1):
         for a in (0, 1):
             sigs[(i, a)] = b.signal_in(f"Z{i}_{a}", 2)
-    conditions = []
     for pattern in sorted(set(itertools.product((0, 1), repeat=n)) - allowed):
         label = "ex" + "".join(str(x) for x in pattern)
         picks = [sigs[(i, pattern[i - 1])] for i in range(1, n + 1)]
         b.demand(label, ["M1"], picks)
-        conditions.append(
-            entropy.Determined(("M1",), tuple(f"Z{i}_{pattern[i - 1]}" for i in range(1, n + 1)))
-        )
-    return b.build(ConditionSpec(conditions=tuple(conditions)))
+    return b.build()
 
 
 def cycles_gate() -> Gadget:
@@ -408,42 +359,28 @@ def cycles_gate() -> Gadget:
     x2 = b.output("X2", ["X1", "U"], DEFAULT)
     b.demand("du", ["U"], [x2, "X1"])
     b.demand("dx1", ["X1"], [x2, "U"])
-    return b.build(
-        ConditionSpec(
-            conditions=(
-                entropy.Determined(("U",), ("X1", "X2")),
-                entropy.Determined(("X1",), ("X2", "U")),
-                entropy.Determined(("X2",), ("X1", "U")),
-            ),
-            size_bounds=(("X2", DEFAULT),),
-        )
-    )
+    return b.build()
 
 
-def _virtual_equality(select_size) -> Gadget:
+def _virtual_equality(select_ports: Sequence[tuple], slice_on: Sequence[str]) -> Gadget:
     b = _Builder("virtual_equality_checker")
     b.message_in("M0", 2)
     b.message_in("M1", 2)
-    b.message_in("W", select_size)
+    select = []
+    for name, size in select_ports:
+        b.message_in(name, size)
+        select.append(name)
     z0 = b.signal_in("Z0", 2)
-    y = b.internal("XY", ["M0", "M1"], 2)
-    b.demand("xd1", ["M0"], [y, "M1"])
-    b.demand("xd2", ["M1"], [y, "M0"])
-    g = b.internal("G", [z0, "W"], 2)
+    y = b.parity("XY", "M0", "M1")
+    g = b.internal("G", [z0] + select, 2)
     b.demand("deq", ["M0", "M1"], [g, y])
-    return b.build(
-        ConditionSpec(
-            conditions=(entropy.Determined(("M0", "M1"), ("G", "XOR")),),
-            existentials=(ExistentialVar("G", ("Z0", "W"), 2),),
-            derived=(DerivedVar("XOR", ("M0", "M1"), 2, _parity_table()),),
-        )
-    )
+    return b.build(slice_on)
 
 
 def virtual_equality_checker() -> Gadget:
     """Attached to a conditional switch output Z0 with select signal W, accepts
     exactly the state families that are constant in W (theta_1 = ... = theta_b)."""
-    return _virtual_equality(None)
+    return _virtual_equality([("W", None)], [])
 
 
 def cond_virtual_equality_checker(b1: int, b2: int) -> Gadget:
@@ -451,29 +388,10 @@ def cond_virtual_equality_checker(b1: int, b2: int) -> Gadget:
     the states theta_{w1, 1..b2} are constant."""
     if b1 < 1 or b2 < 1:
         raise ValueError("select alphabet sizes must be >= 1")
-    b = _Builder("cond_virtual_equality_checker")
-    b.message_in("M0", 2)
-    b.message_in("M1", 2)
-    b.message_in("W1", b1)
-    b.message_in("W2", b2)
-    z0 = b.signal_in("Z0", 2)
-    y = b.internal("XY", ["M0", "M1"], 2)
-    b.demand("xd1", ["M0"], [y, "M1"])
-    b.demand("xd2", ["M1"], [y, "M0"])
-    g = b.internal("G", [z0, "W1", "W2"], 2)
-    b.demand("deq", ["M0", "M1"], [g, y])
-    return b.build(
-        ConditionSpec(
-            conditions=(entropy.Determined(("M0", "M1"), ("G", "XOR")),),
-            existentials=(ExistentialVar("G", ("Z0", "W1", "W2"), 2),),
-            derived=(DerivedVar("XOR", ("M0", "M1"), 2, _parity_table()),),
-            slice_on=("W1",),
-        ),
-        condition_wiring=("W1",),
-    )
+    return _virtual_equality([("W1", b1), ("W2", b2)], ["W1"])
 
 
-def _virtual_or(arity: int, select_ports: Sequence[tuple], slice_ports: Sequence[str]) -> Gadget:
+def _virtual_or(arity: int, select_ports: Sequence[tuple], slice_on: Sequence[str]) -> Gadget:
     if arity < 2:
         raise ValueError(f"or arity must be >= 2, got {arity}")
     b = _Builder(f"virtual_or{arity}_checker")
@@ -489,23 +407,7 @@ def _virtual_or(arity: int, select_ports: Sequence[tuple], slice_ports: Sequence
     for i, sig in enumerate(internals, start=2):
         b.demand(f"dw{i}", select, [sig])
     b.demand("dm1", ["M1"], [g] + internals)
-    names = tuple(f"Z{i}" for i in range(2, arity + 1))
-    sel = tuple(select)
-    return b.build(
-        ConditionSpec(
-            conditions=(
-                entropy.Determined(sel, ("G",)),
-                *(entropy.Determined(sel, (nm,)) for nm in names),
-                entropy.Determined(("M1",), ("G",) + names),
-            ),
-            existentials=(
-                ExistentialVar("G", ("Z0",) + sel, arity + 1),
-                *(ExistentialVar(nm, ("M1",) + sel, arity + 1) for nm in names),
-            ),
-            slice_on=tuple(slice_ports),
-        ),
-        condition_wiring=tuple(slice_ports),
-    )
+    return b.build(slice_on)
 
 
 def virtual_or_checker(b: int) -> Gadget:
@@ -537,21 +439,17 @@ def conditionalize(gadget: Gadget, w_alphabet: Optional[int], port: str = "W") -
         raise ComposeError(f"{gadget.name}: port {port!r} already exists")
     size = None if w_alphabet is None else fixed(w_alphabet)
     spec = gadget.spec
-    new_spec = ConditionSpec(
-        conditions=spec.conditions,
-        existentials=tuple(
-            ExistentialVar(e.name, e.inputs + (port,), e.size) for e in spec.existentials
-        ),
-        derived=spec.derived,
-        slice_on=spec.slice_on + (port,),
-        size_bounds=spec.size_bounds,
-    )
     return replace(
         gadget,
         name=f"cond_{gadget.name}",
         ports=gadget.ports + (Port(port, PortKind.CONDITION_IN, size),),
-        spec=new_spec,
-        condition_wiring=gadget.condition_wiring + (port,),
+        spec=replace(
+            spec,
+            existentials=tuple(
+                ExistentialVar(e.name, e.inputs + (port,), e.size) for e in spec.existentials
+            ),
+            slice_on=spec.slice_on + (port,),
+        ),
     )
 
 
@@ -813,7 +711,7 @@ class _Composer:
                 domain = []
                 for pn in g.node_ports.get(producer, ()):
                     domain.extend(inject[pn])
-                for wp in g.condition_wiring:
+                for wp in g.spec.slice_on:
                     for comp in inject.get(wp, ()):
                         if not isinstance(comp, str):
                             raise ComposeError(
@@ -823,7 +721,7 @@ class _Composer:
                             domain.append(comp)
                 self.pins[prefix + eid] = self._candidate_pin(part, cf, edge.size, domain)
         # condition wiring: deliver to every producer/demand node of the part
-        for wp in g.condition_wiring:
+        for wp in g.spec.slice_on:
             comps = inject.get(wp)
             if comps is None:
                 comps = bindings.get(wp)
@@ -959,15 +857,9 @@ def accepted_set(
 
 
 def _cond_vars(cond) -> set:
-    if isinstance(cond, entropy.Determined):
-        return set(cond.targets) | set(cond.given)
-    if isinstance(cond, entropy.Independent):
-        return set(cond.left) | set(cond.right)
-    if isinstance(cond, (entropy.Uniform, entropy.SupportAtMost)):
-        return set(cond.over)
     if isinstance(cond, entropy.Conditional):
         return _cond_vars(cond.inner) | set(cond.given)
-    raise TypeError(cond)
+    return set(cond.targets) | set(cond.given)
 
 
 def entropy_accepted_set(gadget: Gadget, family: Sequence, k: int,
@@ -1020,20 +912,11 @@ def entropy_accepted_set(gadget: Gadget, family: Sequence, k: int,
                     row.append(dv.table[tuple(row[c] for c in cols)])
                 names.append(dv.name)
                 variables.append((dv.name, dv.size))
-            if _conditions_hold(spec, variables, rows, k, cache):
+            if _conditions_hold(spec, variables, rows, cache):
                 accepted.append(entry)
             continue
         # candidate out of range: reject
     return accepted
-
-
-def _projection_safe(cond) -> bool:
-    # Determined and SupportAtMost depend only on the projected support SET,
-    # so they can be checked on independently filtered columns; count-based
-    # conditions must wait for the full joint support.
-    if isinstance(cond, entropy.Conditional):
-        return _projection_safe(cond.inner)
-    return isinstance(cond, (entropy.Determined, entropy.SupportAtMost))
 
 
 def _filter_existential(ex: ExistentialVar, conds: list, sliced, variables: list,
@@ -1064,7 +947,7 @@ def _filter_existential(ex: ExistentialVar, conds: list, sliced, variables: list
     return survivors
 
 
-def _conditions_hold(spec: ConditionSpec, variables: list, rows: list, k: int,
+def _conditions_hold(spec: ConditionSpec, variables: list, rows: list,
                      cache: Optional[dict] = None) -> bool:
     cache = cache if cache is not None else {}
     names = [n for n, _ in variables]
@@ -1076,11 +959,6 @@ def _conditions_hold(spec: ConditionSpec, variables: list, rows: list, k: int,
         dist = entropy.UniformSupport(tuple(vars_now), frozenset(tuple(r) for r in rows_now))
         return all(entropy.check(dist, sliced(c)) for c in conds)
 
-    for var, bound_spec in spec.size_bounds:
-        cond = entropy.SupportAtMost((var,), resolve_size(bound_spec, k))
-        dist = entropy.UniformSupport(tuple(variables), frozenset(tuple(r) for r in rows))
-        if not entropy.check(dist, cond):
-            return False
     available = set(names) | set(spec.slice_on)
     pending = list(spec.conditions)
     ready = [c for c in pending if _cond_vars(c) <= available]
@@ -1089,14 +967,15 @@ def _conditions_hold(spec: ConditionSpec, variables: list, rows: list, k: int,
         return False
     if not spec.existentials:
         return not pending
-    # partition: conditions touching exactly one existential (and projection
-    # safe) filter that existential's tables independently; the rest join
+    # partition: conditions touching exactly one existential filter that
+    # existential's tables independently (a Determined condition depends only
+    # on the projected support set); the rest join
     unary: dict = {e.name: [] for e in spec.existentials}
     joint: list = []
     exnames = set(unary)
     for c in pending:
         touched = _cond_vars(c) & exnames
-        if len(touched) == 1 and _projection_safe(c):
+        if len(touched) == 1:
             unary[touched.pop()].append(c)
         else:
             joint.append(c)
@@ -1136,20 +1015,6 @@ def catalog() -> dict:
     }
 
 
-def _condition_to_json(cond) -> dict:
-    if isinstance(cond, entropy.Determined):
-        return {"kind": "determined", "targets": list(cond.targets), "given": list(cond.given)}
-    if isinstance(cond, entropy.Independent):
-        return {"kind": "independent", "left": list(cond.left), "right": list(cond.right)}
-    if isinstance(cond, entropy.Uniform):
-        return {"kind": "uniform", "over": list(cond.over)}
-    if isinstance(cond, entropy.SupportAtMost):
-        return {"kind": "support-at-most", "over": list(cond.over), "bound": cond.bound}
-    if isinstance(cond, entropy.Conditional):
-        return {"kind": "conditional", "inner": _condition_to_json(cond.inner), "given": list(cond.given)}
-    raise TypeError(cond)
-
-
 def gadget_to_json(gadget: Gadget) -> dict:
     from .model import to_json_dict
 
@@ -1160,7 +1025,10 @@ def gadget_to_json(gadget: Gadget) -> dict:
             {"name": p.name, "kind": p.kind.value, "size": None if p.size is None else p.size.value}
             for p in gadget.ports
         ],
-        "conditions": [_condition_to_json(c) for c in spec.conditions],
+        "conditions": [
+            {"kind": "determined", "targets": list(c.targets), "given": list(c.given)}
+            for c in spec.conditions
+        ],
         "existentials": [
             {"name": e.name, "inputs": list(e.inputs), "size": e.size} for e in spec.existentials
         ],

@@ -120,24 +120,27 @@ def chromatic_leq(graph: ConfusionGraph, m: int) -> Optional[dict]:
     for c, i in enumerate(clique):
         color[i] = c
     rest = [i for i in order if i not in set(clique)]
-    pos_used = len(clique)
-
-    def dfs(idx: int, used: int) -> bool:
-        if idx == len(rest):
-            return True
+    # depth-first over rest without recursion, which would nest one call per
+    # uncolored vertex: used[idx] counts the colors in use before rest[idx]
+    # is colored, and color[rest[idx]] is the last color tried there (-1
+    # before the first), so backtracking resumes with the next color
+    used = [len(clique)] + [0] * len(rest)
+    idx = 0
+    while 0 <= idx < len(rest):
         i = rest[idx]
         taken = {color[j] for j in graph.adjacency[i] if color[j] >= 0}
-        top = min(used + 1, m)
-        for c in range(top):
-            if c in taken:
-                continue
+        top = min(used[idx] + 1, m)
+        c = color[i] + 1
+        while c < top and c in taken:
+            c += 1
+        if c < top:
             color[i] = c
-            if dfs(idx + 1, max(used, c + 1)):
-                return True
-        color[i] = -1
-        return False
-
-    if not dfs(0, pos_used):
+            used[idx + 1] = max(used[idx], c + 1)
+            idx += 1
+        else:
+            color[i] = -1
+            idx -= 1
+    if idx < 0:
         return None
     return {v: color[i] for i, v in enumerate(graph.vertices)}
 

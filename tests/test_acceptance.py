@@ -146,8 +146,7 @@ def test_criterion_07_virtual_checkers():
     t0 = time.time()
     ok = True
     for b in (2, 3):
-        fam = [{"Z0": F.conditional_switch_z0(theta)}
-               for theta in itertools.product((0, 1), repeat=b)]
+        fam = F.theta_family(b)
         thetas = list(itertools.product((0, 1), repeat=b))
         eq_net = G.accepted_set(G.virtual_equality_checker(), fam, 1, sizes={"W": b})
         eq_ent = G.entropy_accepted_set(G.virtual_equality_checker(), fam, 1, sizes={"W": b})
@@ -160,7 +159,7 @@ def test_criterion_07_virtual_checkers():
     # conditional variants at w_alphabet 2: the per-slice law
     grids = [dict(zip(itertools.product(range(2), range(2)), bits))
              for bits in itertools.product((0, 1), repeat=4)]
-    cfam = [{"Z0": F.conditional_switch_z0_grid(g, 2, 2)} for g in grids]
+    cfam = F.theta_grid_family(2, 2)
     ceq_net = G.accepted_set(G.cond_virtual_equality_checker(2, 2), cfam, 1)
     ceq_ent = G.entropy_accepted_set(G.cond_virtual_equality_checker(2, 2), cfam, 1)
     expect_ceq = [e for g, e in zip(grids, cfam)

@@ -6,12 +6,8 @@ from hypothesis import given, strategies as st
 from pfsnet.entropy import (
     Conditional,
     Determined,
-    Independent,
-    SupportAtMost,
-    Uniform,
     UniformSupport,
     check,
-    entropy_display,
     support_of_scheme,
 )
 from pfsnet.solver import solve_at_k, verify_scheme
@@ -35,15 +31,6 @@ def test_determined():
     assert not check(xor_triple(), Determined(("M1",), ("Y",)))
 
 
-def test_independent_uniform_support():
-    assert check(free_pair(), Independent(("M1",), ("M2",)))
-    assert check(xor_triple(), Independent(("M1",), ("M2",)))
-    assert not check(xor_triple(), Independent(("M1", "M2"), ("Y",)))
-    assert check(xor_triple(), Uniform(("Y",)))
-    assert check(xor_triple(), SupportAtMost(("Y",), 2))
-    assert not check(xor_triple(), SupportAtMost(("M1", "M2"), 3))
-
-
 def test_conditional_slices():
     # Y = M1 xor (W and M2): the parity condition holds on slice w=1 only
     pts = {(m1, m2, w, m1 ^ (w & m2)) for m1 in (0, 1) for m2 in (0, 1) for w in (0, 1)}
@@ -59,13 +46,6 @@ def test_conditional_slices():
 def test_unknown_variable():
     with pytest.raises(KeyError):
         check(free_pair(), Determined(("nope",), ()))
-
-
-def test_entropy_display():
-    assert entropy_display(free_pair(), ["M1", "M2"]) == 2.0
-    single = UniformSupport((("C", 1),), {(0,)})
-    assert entropy_display(single, ["C"]) == 0.0
-    assert entropy_display(xor_triple(), ["Y"]) == 1.0
 
 
 def test_cycles_support_determined():

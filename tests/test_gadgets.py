@@ -22,6 +22,9 @@ ALL_CONSTRUCTORS = [
     lambda: G.cond_virtual_equality_checker(2, 2),
     lambda: G.virtual_or_checker(2),
     lambda: G.cond_virtual_or_checker(2, 2),
+    lambda: G.cond_switch_gate(2),
+    lambda: G.cond_xor_checker(2),
+    lambda: G.cond_set_checker(2, [(0, 1), (1, 0)], 2),
 ]
 
 
@@ -29,6 +32,29 @@ ALL_CONSTRUCTORS = [
 def test_fragments_validate(ctor):
     g = ctor()
     assert validate(g.fragment_network()).ok
+    # every variable the derived spec names is a port, existential or derived
+    spec = g.spec
+    known = {p.name for p in g.ports}
+    known |= {v.name for v in spec.existentials + spec.derived}
+    named = set(spec.slice_on)
+    for c in spec.conditions:
+        named |= set(c.targets) | set(c.given)
+    for v in spec.existentials + spec.derived:
+        named |= set(v.inputs)
+    assert named <= known, named - known
+
+
+@pytest.mark.parametrize("gadget, family, k, accepted", [
+    (G.xor_gate(), F.xor_family(), 2, 2),
+    (G.tristate_gate(), F.tristate_family(), 1, 12),
+    (G.bstate_checker(2), F.bstate_family(2), 1, 12),
+    (G.set_checker(2, [(0, 1), (1, 0)]), F.set_family(2), 1, 2),
+], ids=["xor_gate", "tristate_gate", "bstate2", "set2"])
+def test_double_oracle_agreement(gadget, family, k, accepted):
+    net = G.accepted_set(gadget, family, k)
+    ent = G.entropy_accepted_set(gadget, family, k)
+    assert entry_keys(net) == entry_keys(ent)
+    assert len(net) == accepted
 
 
 def table_of(entry, port):

@@ -33,6 +33,14 @@ def test_chromatic_leq():
     assert I.chromatic_leq(empty, 0) == {}
 
 
+def test_chromatic_leq_large_graph_no_recursion_error():
+    # 1,331 vertices: one search level per uncolored vertex
+    clients = tuple(I.Client(frozenset({i}), frozenset({i % 3 + 1})) for i in (1, 2, 3))
+    inst = I.IndexInstance((DEFAULT,) * 3, 1, 3, clients)
+    ok, f = I.solvable_at_k(inst, 11)
+    assert ok and len(f) == 11 ** 3
+
+
 def test_chromatic_against_exhaustive():
     rng = random.Random(5)
     for _ in range(30):
