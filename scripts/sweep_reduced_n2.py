@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Best-effort, budget-capped solvability sweep on the smallest compiled
-condition program (two colors, no conditions).
+"""Budget-capped solvability sweep on the smallest compiled condition program
+(two colors, no conditions).
 
-Solving a compiled network outright is exponential in its size, so this is
-exploratory and non-gating: a budget-exhausted outcome is the expected result
-at any serious k.  The point of the script is the outcome contract: the solver
-never converts an exhausted budget into a negative answer.
+The solver decides this program within the default budget: unsolvable at
+k=1, a witness at k=2.  Solving larger compiled networks is exponential in
+their size, and the point of the script is the outcome contract: the solver
+never converts an exhausted budget (``--budget`` entry trials) into a
+negative answer.
 """
 
 import argparse
@@ -27,7 +28,7 @@ def main():
         t0 = time.time()
         out = solve_at_k(net, k, SolveOptions(node_budget=args.budget))
         status = out.status.value
-        print(f"k={k}: {status} after {out.searched} table trials ({time.time() - t0:.1f}s)")
+        print(f"k={k}: {status} after {out.searched} entry trials ({time.time() - t0:.1f}s)")
         if out.status is Status.SOLVABLE:
             print("witness found; stopping")
             break

@@ -71,10 +71,10 @@ def _solve_options(args) -> SolveOptions:
 
 
 def _add_solver_flags(p) -> None:
-    p.add_argument("--budget", type=int, default=None, help="search-node cap")
+    p.add_argument("--budget", type=int, default=None, help="entry-trial cap, shared by all workers")
     p.add_argument("--no-symmetry", action="store_true", help="disable symmetry breaking")
     p.add_argument("--deterministic", action="store_true", help="byte-identical output across runs and worker counts")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for the table search")
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers for the search")
 
 
 def _build_parser() -> _Parser:

@@ -1032,6 +1032,12 @@ def gadget_to_json(gadget: Gadget) -> dict:
         "existentials": [
             {"name": e.name, "inputs": list(e.inputs), "size": e.size} for e in spec.existentials
         ],
+        # each table row lists the input values, then the derived value
+        "derived": [
+            {"name": d.name, "inputs": list(d.inputs), "size": d.size,
+             "table": [list(key) + [value] for key, value in sorted(d.table.items())]}
+            for d in spec.derived
+        ],
         "conditioned_on": list(spec.slice_on),
         "fragment": to_json_dict(gadget.fragment_network()),
     }

@@ -1,10 +1,19 @@
 """Exact solvability of a network at a given default size k.
 
-The search assigns one encoding table per non-broadcast, non-pinned edge, in
-topological order of the tail node (ties by edge id), pruning as soon as a
-demand node's inputs are all determined but fail to separate the demanded
-messages.  Decoding tables are never searched: a demand is satisfiable exactly
-when the separation holds, and the table is then read off the evaluation.
+The search assigns encoding tables one entry at a time.  Message tuples are
+taken in order, and each tuple is evaluated along ``edge_eval_order``; an
+entry that a tuple reaches for the first time is a branch point, tried with
+each value (restricted growth in first-reach order under symmetry breaking).
+Entries that no tuple reaches are zero-filled.  Broadcast relays are never
+evaluated, and only edges upstream of a demand are searched.
+
+Every demand is checked tuple by tuple.  Besides the check on its own inputs,
+each demand gets static frontier-cut checks (forward checking): while part
+of a tuple is evaluated, the demand's input is a function of the messages at
+its still-open upstream nodes and the evaluated edges into them, so tuples
+that agree on that key must agree on the demanded messages.  Decoding tables
+are never searched: they are read off the evaluation once the encodings
+separate every demand.
 
 ``naive_solve_at_k`` is a deliberately independent oracle that enumerates all
 table combinations with no pruning and no symmetry breaking.
@@ -12,9 +21,12 @@ table combinations with no pruning and no symmetry breaking.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
+import operator
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -45,8 +57,10 @@ class Status(Enum):
 @dataclass(frozen=True)
 class SolveOptions:
     """pins maps edge id to a fixed row-major encoding table (not searched).
-    With deterministic=True the returned witness equals the single-worker,
-    lexicographically first one regardless of ``jobs``."""
+    node_budget caps the entry trials (one value tried at one table entry)
+    of the whole solve; with ``jobs`` > 1 the workers split it.  With
+    deterministic=True the returned witness equals the single-worker one
+    regardless of ``jobs``."""
 
     pins: Mapping[str, Sequence[int]] = field(default_factory=dict)
     symmetry_breaking: bool = True
@@ -57,6 +71,9 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class SolveOutcome:
+    """``searched`` counts entry trials: one value tried at one table entry,
+    summed over workers."""
+
     status: Status
     scheme: Optional[CodingScheme] = None
     searched: int = 0
@@ -70,28 +87,6 @@ def edge_eval_order(net: Network) -> list:
     """Edges in evaluation order: topological position of tail, then edge id."""
     pos = {v: i for i, v in enumerate(topo_order(net))}
     return sorted(net.edges, key=lambda e: (pos[e.tail], e.id))
-
-
-def iter_tables(domain: int, size: int, canonical: bool) -> Iterator[tuple]:
-    """All functions [domain] -> [size] as row-major tuples, lexicographic.
-
-    With canonical=True, only relabelling representatives are produced: the
-    distinct output values first occur in increasing order.
-    """
-    if not canonical or size == 1 or domain == 0:
-        yield from itertools.product(range(size), repeat=domain)
-        return
-    table = [0] * domain
-
-    def rec(i: int, used: int) -> Iterator[tuple]:
-        if i == domain:
-            yield tuple(table)
-            return
-        for v in range(min(used, size - 1) + 1):
-            table[i] = v
-            yield from rec(i + 1, max(used, v + 1))
-
-    yield from rec(0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +237,29 @@ class _BudgetHit(Exception):
     pass
 
 
+def _getter(cols: Sequence[int]):
+    """Read a key off a row: a value, a tuple of values, or () for no cols."""
+    return operator.itemgetter(*cols) if cols else (lambda row: ())
+
+
 class _Search:
+    """Search over single table entries.
+
+    Message tuples are processed in order, and within one tuple the searched
+    edges are evaluated in ``edge_eval_order``.  An entry that a tuple reaches
+    for the first time is a branch point; entries no tuple reaches are never
+    tried.  A broadcast out-edge is never evaluated: it carries the value of
+    its root, the non-broadcast edge at the head of its relay chain.  Only
+    edges upstream of a demand are searched; the others cannot affect any
+    decoder.
+
+    Each tuple's values live in one row: the message values, then one value
+    per searched edge.  After position p of a tuple (its first p searched
+    edges evaluated) every check scheduled at p reads a key and the demanded
+    messages off the row; two tuples with equal keys and different demanded
+    messages refute the branch.
+    """
+
     def __init__(self, net: Network, k: int, opts: SolveOptions, level0: Optional[tuple] = None):
         rep = validate(net)
         if not rep.ok:
@@ -251,241 +268,262 @@ class _Search:
             raise ValueError("network has unlimited edge annotations; canonicalize first")
         if k < 1:
             raise ValueError("k must be >= 1")
-        self.net = net
-        self.k = k
         self.opts = opts
         self.level0 = level0
-        self.msg_sizes = [resolve_size(m, k) for m in net.messages]
-        self.tuples = list(itertools.product(*(range(s) for s in self.msg_sizes)))
-        self.T = len(self.tuples)
-        self.order = edge_eval_order(net)
-        self.eidx = {e.id: i for i, e in enumerate(self.order)}
-        self.sizes = [resolve_size(e.size, k) for e in self.order]
+        msg_sizes = [resolve_size(m, k) for m in net.messages]
+        n_msgs = len(msg_sizes)
+        self.tuples = list(itertools.product(*(range(s) for s in msg_sizes)))
+        order = edge_eval_order(net)
         self.infeasible = False
-        for v in net.broadcast:
-            if net.in_edges(v):
-                ins = resolve_size(net.in_edges(v)[0].size, k)
-                if any(resolve_size(e.size, k) < ins for e in net.out_edges(v)):
+        root: dict = {}
+        self.tabled = []  # edges with a table of their own
+        for e in order:
+            if e.tail in net.broadcast:
+                f = net.in_edges(e.tail)[0]
+                root[e.id] = root[f.id]
+                if e.size.resolve(k) < f.size.resolve(k):
                     self.infeasible = True  # forced relay cannot fit at this k
-        self.forced = [e.tail in net.broadcast for e in self.order]
-        pins = dict(opts.pins)
-        for eid, table in pins.items():
-            if eid not in self.eidx:
-                raise ValueError(f"pin for unknown edge {eid!r}")
-            if self.forced[self.eidx[eid]]:
-                raise ValueError(f"cannot pin broadcast out-edge {eid!r}")
-        self.pinned = {eid: tuple(t) for eid, t in pins.items()}
-        # per-edge domain structure
-        self.msg_cols: list = []
-        self.in_slots: list = []
-        self.radices: list = []
-        for e in self.order:
-            u = e.tail
-            srcs = sorted(net.source_set(u))
-            ins = net.in_edges(u)
-            self.msg_cols.append([i - 1 for i in srcs])
-            self.in_slots.append([self.eidx[f.id] for f in ins])
-            self.radices.append(
-                [self.msg_sizes[i - 1] for i in srcs]
-                + [resolve_size(f.size, k) for f in ins]
-            )
-        for eid, table in self.pinned.items():
-            j = self.eidx[eid]
-            dom = 1
-            for r in self.radices[j]:
-                dom *= r
-            if len(table) != dom:
-                raise ValueError(f"pin for {eid!r} has length {len(table)}, expected {dom}")
-            if any(not 0 <= x < self.sizes[j] for x in table):
-                raise ValueError(f"pin for {eid!r} out of range")
-        # static (message-only) part of each edge's domain index
-        self.static_dom: list = []
-        self.domain_size: list = []
-        for j, e in enumerate(self.order):
-            dom = 1
-            for r in self.radices[j]:
-                dom *= r
-            self.domain_size.append(dom)
-            cols = self.msg_cols[j]
-            msg_radices = self.radices[j][: len(cols)]
-            in_radices = self.radices[j][len(cols):]
-            w = 1
-            for r in in_radices:
-                w *= r
-            stat = []
-            for t in self.tuples:
-                stat.append(_node_index(msg_radices, [t[c] for c in cols]) * w)
-            self.static_dom.append(stat)
-            weights = []
-            acc = 1
-            for r in reversed(in_radices):
-                weights.append(acc)
-                acc *= r
-            weights.reverse()
-            self.in_slots[j] = list(zip(self.in_slots[j], weights))
-        # search levels and the propagation plan between them
-        self.search_levels: list = []  # indices into self.order
-        plan: list = [[]]
-        for j, e in enumerate(self.order):
-            if self.forced[j] or e.id in self.pinned:
-                plan[-1].append(j)
             else:
-                self.search_levels.append(j)
-                plan.append([])
-        self.prelude = plan[0]
-        self.plan = plan[1:]
-        # demand checks: level after which each demand node is fully determined
-        level_of = {}
-        for i, j in enumerate(self.search_levels):
-            level_of[j] = i
-            for jj in self.plan[i]:
-                level_of[jj] = i
-        for jj in self.prelude:
-            level_of[jj] = -1
-        self.demand_nodes = sorted(net.demands)
-        self.davail: dict = {}
-        self.dstat: dict = {}
-        self.dproj: dict = {}
-        self.checks_at: dict = {}
-        for v in self.demand_nodes:
-            slots = [self.eidx[e.id] for e in net.in_edges(v)]
-            self.davail[v] = slots
-            srcs = sorted(net.source_set(v))
-            want = sorted(net.demands[v])
-            self.dstat[v] = [tuple(t[i - 1] for i in srcs) for t in self.tuples]
-            self.dproj[v] = [tuple(t[i - 1] for i in want) for t in self.tuples]
-            lvl = max((level_of[s] for s in slots), default=-1)
-            self.checks_at.setdefault(lvl, []).append(v)
-        self.last_check_level = max(self.checks_at, default=-1)
+                root[e.id] = e.id
+                self.tabled.append(e)
+        for eid in opts.pins:
+            if eid not in root:
+                raise ValueError(f"pin for unknown edge {eid!r}")
+            if root[eid] != eid:
+                raise ValueError(f"cannot pin broadcast out-edge {eid!r}")
+        self.pinned = {eid: tuple(t) for eid, t in opts.pins.items()}
+        self.size = {e.id: resolve_size(e.size, k) for e in self.tabled}
+        self.dom_size = {
+            e.id: math.prod([msg_sizes[i - 1] for i in net.source_set(e.tail)]
+                            + [resolve_size(f.size, k) for f in net.in_edges(e.tail)])
+            for e in self.tabled
+        }
+        for eid, table in self.pinned.items():
+            if len(table) != self.dom_size[eid]:
+                raise ValueError(f"pin for {eid!r} has length {len(table)}, expected {self.dom_size[eid]}")
+            if any(not 0 <= x < self.size[eid] for x in table):
+                raise ValueError(f"pin for {eid!r} out of range")
+        # a demand its own sources satisfy needs nothing; the others make
+        # every edge upstream of them relevant
+        demands = [v for v in sorted(net.demands) if not net.demands[v] <= net.source_set(v)]
+        by_id = {e.id: e for e in self.tabled}
+        relevant: set = set()
+        stack = list(demands)
+        while stack:
+            for f in net.in_edges(stack.pop()):
+                r = root[f.id]
+                if r not in relevant:
+                    relevant.add(r)
+                    stack.append(by_id[r].tail)
+        self.edges = [e for e in self.tabled if e.id in relevant]
+        pos = {e.id: q for q, e in enumerate(self.edges)}
+        n = len(self.edges)
+        # row columns and radices of each searched edge's domain index
+        self.dom_cols = []
+        for e in self.edges:
+            cols = [(i - 1, msg_sizes[i - 1]) for i in sorted(net.source_set(e.tail))]
+            cols += [(n_msgs + pos[root[f.id]], resolve_size(f.size, k)) for f in net.in_edges(e.tail)]
+            self.dom_cols.append(cols)
         # symmetry-breaking eligibility: every consumer of the edge's value,
         # following forced relays, must be free to relabel (no pinned out-edge)
-        self.sym: list = []
-        for i in self.search_levels:
+        self.sym = []
+        for e in self.edges:
             ok = opts.symmetry_breaking
-            if ok:
-                stack = [self.order[i].head]
-                seen = set()
-                while stack and ok:
-                    u = stack.pop()
-                    if u in seen:
-                        continue
-                    seen.add(u)
-                    for f in net.out_edges(u):
-                        if f.id in self.pinned:
-                            ok = False
-                            break
-                        if u in net.broadcast:
-                            stack.append(f.head)
+            stack = [e.head] if self.pinned else []
+            seen = set()
+            while stack and ok:
+                u = stack.pop()
+                if u in seen:
+                    continue
+                seen.add(u)
+                for f in net.out_edges(u):
+                    if f.id in self.pinned:
+                        ok = False
+                        break
+                    if u in net.broadcast:
+                        stack.append(f.head)
             self.sym.append(ok)
-        self.vec: list = [None] * len(self.order)
+        # frontier cuts.  With the first p searched edges of a tuple
+        # evaluated, a node is open if some path from it to demand v uses
+        # only unevaluated edges.  v's input is then a function of the
+        # messages at open nodes and the evaluated edges into open nodes,
+        # so that key must separate v's demanded messages.  b[u] is the
+        # largest p at which u is open: the widest path to v by
+        # bottleneck (smallest) edge position, found in one pass over the
+        # nodes upstream of v in reverse topological order (tails sort by
+        # their first searched out-edge).
+        first_out: dict = {}
+        for q, e in enumerate(self.edges):
+            first_out.setdefault(e.tail, q)
+        feeds: dict = {}  # node -> (position, tail) of each root edge into it
+        msg_cols = {}  # node -> row columns of its source messages
+        earliest: dict = {}  # (key cols, demanded cols) -> earliest position
+        for v in demands:
+            b = {v: n}
+            last: dict = {}  # edge position -> largest p at which its head is open
+            heap = [(-n, v)]
+            while heap:
+                w = heapq.heappop(heap)[1]
+                bw = b[w]
+                if w not in feeds:
+                    feeds[w] = sorted({(pos[root[f.id]], by_id[root[f.id]].tail) for f in net.in_edges(w)})
+                for q, u in feeds[w]:
+                    if last.get(q, -1) < bw:
+                        last[q] = bw
+                    bu = q if q < bw else bw
+                    if u not in b:
+                        b[u] = bu
+                        heapq.heappush(heap, (-first_out[u], u))
+                    elif b[u] < bu:
+                        b[u] = bu
+            open_until: dict = {}
+            for u, bu in b.items():
+                if u not in msg_cols:
+                    msg_cols[u] = [i - 1 for i in net.source_set(u)]
+                for c in msg_cols[u]:
+                    if open_until.get(c, -1) < bu:
+                        open_until[c] = bu
+            want = sorted(i - 1 for i in net.demands[v])
+            # a key holding every demanded message checks nothing
+            start = min(open_until.get(c, -1) for c in want) + 1
+            points = {start, *(q + 1 for q in last), *(p + 1 for p in last.values()),
+                      *(p + 1 for p in open_until.values())}
+            prev = None
+            for p in sorted(x for x in points if start <= x <= n):
+                msgs = tuple(c for c in sorted(open_until) if p <= open_until[c])
+                key = msgs + tuple(n_msgs + q for q in sorted(last) if q < p <= last[q])
+                if key != prev:
+                    prev = key
+                    ident = (key, tuple(c for c in want if c not in msgs))
+                    earliest[ident] = min(earliest.get(ident, p), p)
+        self.checks_at: list = [[] for _ in range(n + 1)]
+        for (key, rest), p in earliest.items():
+            self.checks_at[p].append((_getter(key), _getter(rest)))
         self.searched = 0
-        self.level0_tried = 0  # position within this worker's level-0 slice
+        self.split_value = 0  # value tried at the sliced entry, in a worker
 
-    # -- evaluation ---------------------------------------------------------
-
-    def _dom_vector(self, j: int) -> list:
-        out = list(self.static_dom[j])
-        for slot, weight in self.in_slots[j]:
-            vecj = self.vec[slot]
-            for ti in range(self.T):
-                out[ti] += vecj[ti] * weight
-        return out
-
-    def _compute(self, j: int) -> None:
-        if self.forced[j]:
-            src = self.in_slots[j][0][0]
-            self.vec[j] = self.vec[src]
-        else:
-            table = self.pinned[self.order[j].id]
-            dom = self._dom_vector(j)
-            self.vec[j] = [table[d] for d in dom]
-
-    def _check(self, v: str) -> bool:
-        stat = self.dstat[v]
-        proj = self.dproj[v]
-        vecs = [self.vec[s] for s in self.davail[v]]
-        seen: dict = {}
-        if vecs:
-            for ti, dyn in enumerate(zip(*vecs)):
-                key = stat[ti] + dyn
-                val = proj[ti]
-                if seen.setdefault(key, val) != val:
-                    return False
-        else:
-            for ti in range(self.T):
-                if seen.setdefault(stat[ti], proj[ti]) != proj[ti]:
-                    return False
-        return True
-
-    def _zero_fill(self, level: int, assignment: list) -> None:
-        for i in range(level, len(self.search_levels)):
-            j = self.search_levels[i]
-            assignment.append((0,) * self.domain_size[j])
-            self.vec[j] = [0] * self.T
-            for jj in self.plan[i]:
-                self._compute(jj)
-
-    def assignments(self, first_only: bool) -> Iterator[list]:
-        """Depth-first over table assignments; yields complete assignments
-        (one table per search level) satisfying every demand."""
+    def solutions(self) -> Iterator[dict]:
+        """Depth-first over single entries, with explicit stacks; yields the
+        tables (see ``_tables``) once per assignment of the reached entries
+        that satisfies every check."""
         if self.infeasible:
             return
-        for jj in self.prelude:
-            self._compute(jj)
-        if not all(self._check(v) for v in self.checks_at.get(-1, [])):
-            return
-        yield from self._dfs(0, [], first_only)
-
-    def _dfs(self, level: int, assignment: list, first_only: bool) -> Iterator[list]:
-        if first_only and level > self.last_check_level:
-            full = list(assignment)
-            self._zero_fill(level, full)
-            self.searched += len(full) - len(assignment)
-            yield full
-            return
-        if level == len(self.search_levels):
-            yield list(assignment)
-            return
-        j = self.search_levels[level]
-        dvec = self._dom_vector(j)
-        it = iter_tables(self.domain_size[j], self.sizes[j], self.sym[level])
-        if level == 0 and self.level0 is not None:
-            it = itertools.islice(it, self.level0[0], None, self.level0[1])
+        n = len(self.edges)
+        T = len(self.tuples)
+        base = len(self.tuples[0])  # the number of messages
+        rows = [list(t) + [0] * n for t in self.tuples]
+        tables = [list(self.pinned[e.id]) if e.id in self.pinned else [-1] * self.dom_size[e.id]
+                  for e in self.edges]
+        sizes = [self.size[e.id] for e in self.edges]
+        dom_cols, sym = self.dom_cols, self.sym
+        # per check, the demanded messages seen so far under each key
+        checks_at = [[({}, key_of, want_of) for key_of, want_of in at] for at in self.checks_at]
         budget = self.opts.node_budget
-        for table in it:
-            if level == 0:
-                self.level0_tried += 1
-            self.searched += 1
-            if budget is not None and self.searched > budget:
-                raise _BudgetHit()
-            self.vec[j] = [table[d] for d in dvec]
-            for jj in self.plan[level]:
-                self._compute(jj)
-            if all(self._check(v) for v in self.checks_at.get(level, [])):
-                assignment.append(table)
-                yield from self._dfs(level + 1, assignment, first_only)
-                assignment.pop()
+        # the first entry with more than one value to try is sliced across
+        # workers; every entry before it has exactly one
+        split = self.level0
+        used = [0] * n  # values in use per edge (restricted growth)
+        frames: list = []  # [tuple, position, entry, value, top, step, used before, trail mark]
+        trail: list = []  # (seen, key) inserted by the checks, in order
+        ti = p = 0
+        while True:
+            # evaluate forward until a check fails, an entry is reached for
+            # the first time (a new frame), or every tuple has passed
+            while ti < T:
+                row = rows[ti]
+                ok = True
+                for seen, key_of, want_of in checks_at[p]:
+                    key = key_of(row)
+                    have = seen.get(key)
+                    if have is None:
+                        seen[key] = want_of(row)
+                        trail.append((seen, key))
+                    elif have != want_of(row):
+                        ok = False
+                        break
+                if not ok:
+                    break
+                if p == n:
+                    ti += 1
+                    p = 0
+                    continue
+                d = 0
+                for col, radix in dom_cols[p]:
+                    d = d * radix + row[col]
+                x = tables[p][d]
+                if x < 0:
+                    top = min(used[p], sizes[p] - 1) if sym[p] else sizes[p] - 1
+                    start, step = 0, 1
+                    if split is not None and top > 0:
+                        (start, step), split = split, None
+                    frames.append([ti, p, d, start - step, top, step, used[p], len(trail)])
+                    break
+                row[base + p] = x
+                p += 1
+            else:
+                yield self._tables(tables)
+            # move the newest frame to its next value, dropping exhausted ones
+            while frames:
+                frame = frames[-1]
+                fti, fp, d, x, top, step, before, mark = frame
+                while len(trail) > mark:
+                    seen, key = trail.pop()
+                    del seen[key]
+                x += step
+                if x <= top:
+                    if budget is not None and self.searched >= budget:
+                        raise _BudgetHit()
+                    self.searched += 1
+                    frame[3] = x
+                    if step > 1:
+                        self.split_value = x
+                    tables[fp][d] = x
+                    used[fp] = max(before, x + 1)
+                    rows[fti][base + fp] = x
+                    ti, p = fti, fp + 1
+                    break
+                tables[fp][d] = -1
+                used[fp] = before
+                frames.pop()
+            else:
+                return
 
-    def scheme_from_assignment(self, assignment: Sequence[tuple]) -> CodingScheme:
-        enc = dict(self.pinned)
-        for lvl, table in enumerate(assignment):
-            enc[self.order[self.search_levels[lvl]].id] = tuple(table)
-        return derive_decodings(self.net, self.k, enc)
+    def _tables(self, tables: list) -> dict:
+        """Every encoding table, by edge id, in evaluation order; entries the
+        search did not reach are None."""
+        searched = {e.id: t for e, t in zip(self.edges, tables)}
+        out = {}
+        for e in self.tabled:
+            if e.id in self.pinned:
+                out[e.id] = self.pinned[e.id]
+            elif e.id in searched:
+                out[e.id] = tuple(None if x < 0 else x for x in searched[e.id])
+            else:
+                out[e.id] = (None,) * self.dom_size[e.id]
+        return out
+
+
+def _zero_filled(tables: Mapping[str, Sequence]) -> dict:
+    return {eid: tuple(x or 0 for x in t) for eid, t in tables.items()}
 
 
 def _solve_partition(payload) -> tuple:
     net, k, opts, start, step = payload
     search = _Search(net, k, opts, level0=(start, step))
     try:
-        for assignment in search.assignments(first_only=True):
-            # global position of the witness's level-0 table in the unsliced
-            # iteration order; the overall lexicographic first witness is the
-            # one minimizing this across workers
-            pos = start + (search.level0_tried - 1) * step
-            return ("found", pos, assignment, search.searched)
+        for tables in search.solutions():
+            return ("found", search.split_value, _zero_filled(tables), search.searched)
         return ("none", None, None, search.searched)
     except _BudgetHit:
         return ("budget", None, None, search.searched)
+
+
+def _witness(net: Network, k: int, encodings: Mapping[str, Sequence[int]]) -> CodingScheme:
+    scheme = derive_decodings(net, k, encodings)
+    rep = verify_scheme(net, scheme)
+    if not rep.ok:
+        raise AssertionError(f"internal error: witness failed verification: {rep.violations}")
+    return scheme
 
 
 def solve_at_k(net: Network, k: int, opts: Optional[SolveOptions] = None) -> SolveOutcome:
@@ -497,25 +535,25 @@ def solve_at_k(net: Network, k: int, opts: Optional[SolveOptions] = None) -> Sol
     """
     opts = opts or SolveOptions()
     search = _Search(net, k, opts)
-    if opts.jobs > 1 and search.search_levels:
-        return _solve_parallel(net, k, opts, search)
+    if opts.jobs > 1 and search.edges:
+        return _solve_parallel(net, k, opts)
     try:
-        for assignment in search.assignments(first_only=True):
-            scheme = search.scheme_from_assignment(assignment)
-            rep = verify_scheme(net, scheme)
-            if not rep.ok:
-                raise AssertionError(f"internal error: witness failed verification: {rep.violations}")
-            return SolveOutcome(Status.SOLVABLE, scheme, search.searched)
+        for tables in search.solutions():
+            return SolveOutcome(Status.SOLVABLE, _witness(net, k, _zero_filled(tables)), search.searched)
         return SolveOutcome(Status.UNSOLVABLE_AT_K, None, search.searched)
     except _BudgetHit:
         return SolveOutcome(Status.BUDGET_EXHAUSTED, None, search.searched)
 
 
-def _solve_parallel(net: Network, k: int, opts: SolveOptions, probe: _Search) -> SolveOutcome:
+def _solve_parallel(net: Network, k: int, opts: SolveOptions) -> SolveOutcome:
     jobs = opts.jobs
-    payloads = [(net, k, opts, w, jobs) for w in range(jobs)]
+    payloads = []
+    for w in range(jobs):
+        share = opts.node_budget
+        if share is not None:  # the workers' shares sum to the budget
+            share = share // jobs + (w < share % jobs)
+        payloads.append((net, k, replace(opts, node_budget=share), w, jobs))
     results: list = [None] * jobs
-    searched = 0
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = {pool.submit(_solve_partition, p): i for i, p in enumerate(payloads)}
         if opts.deterministic:
@@ -531,15 +569,12 @@ def _solve_parallel(net: Network, k: int, opts: SolveOptions, probe: _Search) ->
                     for fut in pending:
                         fut.cancel()
                     pending = set()
-    found = [(r[1], r) for r in results if r and r[0] == "found"]
+    found = [r for r in results if r and r[0] == "found"]
     searched = sum(r[3] for r in results if r)
     if found:
-        _, r = min(found)  # smallest level-0 position = lexicographic first
-        scheme = probe.scheme_from_assignment(r[2])
-        rep = verify_scheme(net, scheme)
-        if not rep.ok:
-            raise AssertionError(f"internal error: witness failed verification: {rep.violations}")
-        return SolveOutcome(Status.SOLVABLE, scheme, searched)
+        # the smallest value at the sliced entry is the single-worker witness
+        r = min(found, key=lambda r: r[1])
+        return SolveOutcome(Status.SOLVABLE, _witness(net, k, r[2]), searched)
     if any(r and r[0] == "budget" for r in results):
         return SolveOutcome(Status.BUDGET_EXHAUSTED, None, searched)
     return SolveOutcome(Status.UNSOLVABLE_AT_K, None, searched)
@@ -572,22 +607,39 @@ def enumerate_solutions(
     limit: Optional[int] = None,
     opts: Optional[SolveOptions] = None,
 ) -> list:
-    """Up to ``limit`` distinct schemes in deterministic (lexicographic) order.
+    """Up to ``limit`` distinct schemes in a deterministic order.
 
-    By default symmetry breaking is off so that, with limit=None, every scheme
-    is produced; pass opts to restrict to relabelling representatives.
+    By default symmetry breaking is off and every entry that no message tuple
+    reaches takes each of its values, so that with limit=None every scheme is
+    produced.  Pass opts with symmetry breaking on for one scheme per
+    relabelling class of the reached entries, unreached entries zero.
     """
     opts = opts or SolveOptions(symmetry_breaking=False)
     search = _Search(net, k, opts)
     out = []
     try:
-        for assignment in search.assignments(first_only=False):
-            out.append(search.scheme_from_assignment(assignment))
-            if limit is not None and len(out) >= limit:
-                break
+        for tables in search.solutions():
+            if opts.symmetry_breaking:
+                fills: Iterator[dict] = iter([_zero_filled(tables)])
+            else:
+                fills = _completions(tables, search.size)
+            for encodings in fills:
+                out.append(derive_decodings(net, k, encodings))
+                if limit is not None and len(out) >= limit:
+                    return out
     except _BudgetHit:
         raise BudgetExhausted(k)
     return out
+
+
+def _completions(tables: Mapping[str, Sequence], sizes: Mapping[str, int]) -> Iterator[dict]:
+    """Every way to give each None entry a value."""
+    free = [(eid, i) for eid, t in tables.items() for i, x in enumerate(t) if x is None]
+    for values in itertools.product(*(range(sizes[eid]) for eid, _ in free)):
+        filled = {eid: list(t) for eid, t in tables.items()}
+        for (eid, i), x in zip(free, values):
+            filled[eid][i] = x
+        yield filled
 
 
 # ---------------------------------------------------------------------------

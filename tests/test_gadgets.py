@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -41,6 +42,16 @@ def test_fragments_validate(ctor):
         named |= set(c.targets) | set(c.given)
     for v in spec.existentials + spec.derived:
         named |= set(v.inputs)
+    assert named <= known, named - known
+    # the JSON export defines every variable it names, too
+    doc = json.loads(json.dumps(G.gadget_to_json(g)))
+    known = {p["name"] for p in doc["ports"]}
+    known |= {v["name"] for v in doc["existentials"] + doc["derived"]}
+    named = set(doc["conditioned_on"])
+    for c in doc["conditions"]:
+        named |= set(c["targets"]) | set(c["given"])
+    for v in doc["existentials"] + doc["derived"]:
+        named |= set(v["inputs"])
     assert named <= known, named - known
 
 

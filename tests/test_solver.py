@@ -1,15 +1,19 @@
+import itertools
 import random
 
 import pytest
 
+from pfsnet import tiling
 from pfsnet.model import (
     CodingScheme,
     DEFAULT,
     Edge,
     Network,
     fixed,
+    resolve_size,
     scheme_from_json_dict,
     scheme_to_json_dict,
+    validate,
 )
 from pfsnet.solver import (
     BudgetExhausted,
@@ -23,7 +27,7 @@ from pfsnet.solver import (
     verify_scheme,
 )
 
-from conftest import random_micro_net
+from conftest import _naive_cost, random_micro_net
 
 
 def test_butterfly_solvable(butterfly, classic_butterfly):
@@ -194,3 +198,110 @@ def test_multigraph_supported():
     one = Network(("s", "t"), (Edge("p0", "s", "t", fixed(2)),),
                   (fixed(4),), {"s": {1}}, {"t": {1}})
     assert not solve_at_k(one, 1).solvable
+
+
+def random_pruning_net(rng: random.Random) -> Network:
+    """Small random instance with broadcast relays, mixed fixed and default
+    sizes and up to three demand nodes, cheap enough for the naive oracle."""
+    size_pool = [fixed(2), fixed(3), DEFAULT]
+    while True:
+        n_nodes = rng.randint(3, 5)
+        nodes = tuple(f"n{i}" for i in range(n_nodes))
+        n_msgs = rng.randint(1, 2)
+        messages = tuple(rng.choice(size_pool) for _ in range(n_msgs))
+        edges = []
+        for i in range(rng.randint(2, 5)):
+            a, b = sorted(rng.sample(range(n_nodes), 2))
+            edges.append(Edge(f"e{i}", f"n{a}", f"n{b}", rng.choice(size_pool)))
+        sources: dict = {}
+        for m in range(1, n_msgs + 1):
+            sources.setdefault(f"n{rng.randrange(n_nodes)}", set()).add(m)
+        ins = {v: [e for e in edges if e.head == v] for v in nodes}
+        broadcast = {v for v in nodes if len(ins[v]) == 1 and v not in sources
+                     and rng.random() < 0.6}
+        heads = sorted({e.head for e in edges} - broadcast)
+        demands = {v: set(rng.sample(range(1, n_msgs + 1), rng.randint(1, n_msgs)))
+                   for v in rng.sample(heads, min(len(heads), rng.randint(1, 3)))}
+        net = Network(nodes, tuple(edges), messages, sources, demands, broadcast)
+        if validate(net).ok and _naive_cost(net, 2) <= 20_000:
+            return net
+
+
+def random_pins(rng: random.Random, net: Network, k: int) -> dict:
+    """A random table for at most one non-broadcast edge."""
+    tabled = [e for e in net.edges if e.tail not in net.broadcast]
+    if not tabled or rng.random() < 0.5:
+        return {}
+    e = rng.choice(tabled)
+    dom = 1
+    for i in net.source_set(e.tail):
+        dom *= resolve_size(net.messages[i - 1], k)
+    for f in net.in_edges(e.tail):
+        dom *= resolve_size(f.size, k)
+    return {e.id: tuple(rng.randrange(resolve_size(e.size, k)) for _ in range(dom))}
+
+
+def test_pruning_agrees_with_naive_oracle():
+    rng = random.Random(20261018)
+    kinds = set()
+    for trial in range(150):
+        net = random_pruning_net(rng)
+        for k in (1, 2):
+            pins = random_pins(rng, net, k)
+            want = naive_solve_at_k(net, k, pins=pins)
+            for sb in (True, False):
+                got = solve_at_k(net, k, SolveOptions(pins=pins, symmetry_breaking=sb))
+                assert got.solvable == want, (trial, k, sb, pins, net)
+                if got.solvable:
+                    assert verify_scheme(net, got.scheme).ok
+                    assert all(got.scheme.encodings[e] == t for e, t in pins.items())
+            kinds.add((bool(net.broadcast), bool(pins), len(net.demands) > 1, want))
+    # every combination of broadcast, pins, several demands and outcome occurred
+    assert len(kinds) == 16
+
+
+@pytest.mark.parametrize("k, trials", [(2, 56), (3, 482), (4, 10_718)])
+def test_butterfly_trial_counts(classic_butterfly, k, trials):
+    out = solve_at_k(classic_butterfly, k)
+    assert out.solvable and out.searched == trials
+
+
+def test_reduced_net_trial_counts():
+    net = tiling.reduce(tiling.ConditionProgram(2, ()))
+    one = solve_at_k(net, 1)
+    assert one.status is Status.UNSOLVABLE_AT_K and one.searched == 9
+    two = solve_at_k(net, 2)
+    assert two.solvable and two.searched == 588
+
+
+def test_enumerate_covers_unreached_entries():
+    # e1 carries a binary message on a ternary edge, so one entry of e2's
+    # table is never reached; e3 feeds no demand at all
+    net = Network(("s", "r", "t", "x"),
+                  (Edge("e1", "s", "r", fixed(3)), Edge("e2", "r", "t", fixed(2)),
+                   Edge("e3", "s", "x", fixed(2))),
+                  (fixed(2),), {"s": {1}}, {"t": {1}})
+    spaces = [itertools.product(range(3), repeat=2), itertools.product(range(2), repeat=3),
+              itertools.product(range(2), repeat=2)]
+    naive = set()
+    for t1, t2, t3 in itertools.product(*map(list, spaces)):
+        enc = {"e1": t1, "e2": t2, "e3": t3}
+        if verify_scheme(net, derive_decodings(net, 1, enc)).ok:
+            naive.add(tuple(sorted(enc.items())))
+    schemes = enumerate_solutions(net, 1, opts=SolveOptions(symmetry_breaking=False))
+    got = [tuple(sorted(s.encodings.items())) for s in schemes]
+    assert len(naive) == 96 and len(got) == len(set(got)) and set(got) == naive
+
+
+def test_parallel_budget_is_shared(classic_butterfly):
+    out = solve_at_k(classic_butterfly, 4, SolveOptions(node_budget=1000, jobs=2))
+    assert out.status is Status.BUDGET_EXHAUSTED and out.searched <= 1000
+
+
+def test_deep_network_no_recursion_error():
+    n = 1500
+    nodes = tuple(f"v{i:04d}" for i in range(n + 1))
+    edges = tuple(Edge(f"e{i:04d}", nodes[i], nodes[i + 1], fixed(2)) for i in range(n))
+    net = Network(nodes, edges, (fixed(2),), {nodes[0]: {1}}, {nodes[-1]: {1}})
+    out = solve_at_k(net, 1)
+    assert out.solvable and verify_scheme(net, out.scheme).ok
