@@ -19,7 +19,6 @@ from .model import (
     validate,
 )
 from .entropy import (
-    Conditional,
     Determined,
     UniformSupport,
     check,

@@ -65,7 +65,6 @@ def _solve_options(args) -> SolveOptions:
     return SolveOptions(
         symmetry_breaking=not args.no_symmetry,
         node_budget=args.budget,
-        deterministic=args.deterministic,
         jobs=args.jobs,
     )
 
@@ -73,7 +72,6 @@ def _solve_options(args) -> SolveOptions:
 def _add_solver_flags(p) -> None:
     p.add_argument("--budget", type=int, default=None, help="entry-trial cap, shared by all workers")
     p.add_argument("--no-symmetry", action="store_true", help="disable symmetry breaking")
-    p.add_argument("--deterministic", action="store_true", help="byte-identical output across runs and worker counts")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers for the search")
 
 
@@ -88,6 +86,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("net")
     sp.add_argument("--k", type=int, required=True)
     _add_solver_flags(sp)
+    sp.add_argument("--deterministic", action="store_true", help="omit the trial count, so without --budget output is byte-identical across runs and worker counts")
 
     sp = sub.add_parser("sweep", help="try k = 1..k-max (a semi-decision: absence proves nothing beyond k-max)")
     sp.add_argument("net")

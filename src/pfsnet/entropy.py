@@ -10,7 +10,7 @@ tolerances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -60,42 +60,22 @@ class Determined:
         object.__setattr__(self, "given", tuple(self.given))
 
 
-@dataclass(frozen=True)
-class Conditional:
-    """Inner condition must hold on every slice of the named variables."""
+def determined(rows: Iterable[Sequence], target_cols: Sequence[int],
+               given_cols: Sequence[int]) -> bool:
+    """H(targets | given) = 0 on a distribution supported on ``rows``: no two
+    rows agree on ``given_cols`` but differ on ``target_cols``."""
+    seen: dict = {}
+    for r in rows:
+        key = tuple(r[c] for c in given_cols)
+        val = tuple(r[c] for c in target_cols)
+        if seen.setdefault(key, val) != val:
+            return False
+    return True
 
-    inner: "InfoCondition"
-    given: tuple
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "given", tuple(self.given))
-
-
-InfoCondition = Union[Determined, Conditional]
-
-
-def check(dist: UniformSupport, cond: InfoCondition) -> bool:
+def check(dist: UniformSupport, cond: Determined) -> bool:
     """Exact decision of an information condition on a uniform support."""
-    if isinstance(cond, Determined):
-        gcols = dist.columns(cond.given)
-        tcols = dist.columns(cond.targets)
-        seen: dict = {}
-        for t in dist.support:
-            key = tuple(t[c] for c in gcols)
-            val = tuple(t[c] for c in tcols)
-            if seen.setdefault(key, val) != val:
-                return False
-        return True
-    if isinstance(cond, Conditional):
-        cols = dist.columns(cond.given)
-        slices: dict = {}
-        for t in dist.support:
-            slices.setdefault(tuple(t[c] for c in cols), []).append(t)
-        return all(
-            check(UniformSupport(dist.variables, frozenset(part)), cond.inner)
-            for part in slices.values()
-        )
-    raise TypeError(f"unknown condition {cond!r}")
+    return determined(dist.support, dist.columns(cond.targets), dist.columns(cond.given))
 
 
 # --- supports induced by coding schemes -------------------------------------

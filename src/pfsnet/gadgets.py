@@ -72,7 +72,7 @@ class ConditionSpec:
     conditions: tuple
     existentials: tuple = ()
     derived: tuple = ()
-    slice_on: tuple = ()  # check all conditions on every slice of these ports
+    slice_on: tuple = ()  # ports delivered to every node, already folded into the conditions
 
 
 @dataclass(frozen=True)
@@ -242,13 +242,32 @@ class _Builder:
             sig_in=dict(self.sig_in),
             sig_out=dict(self.sig_out),
             cond_targets=tuple(self.cond_targets),
-            spec=ConditionSpec(
-                conditions=tuple(self.conditions),
-                existentials=tuple(self.existentials),
-                derived=tuple(self.derived),
-                slice_on=tuple(slice_on),
+            spec=_sliced(
+                ConditionSpec(
+                    conditions=tuple(self.conditions),
+                    existentials=tuple(self.existentials),
+                    derived=tuple(self.derived),
+                ),
+                slice_on,
             ),
         )
+
+
+def _sliced(spec: ConditionSpec, ports: Sequence[str]) -> ConditionSpec:
+    """``spec`` required on every slice of ``ports``.  On a support, "T is
+    determined by G on every slice W = w" is "T is determined by (G, W)", so
+    each port joins every condition's ``given`` and every existential's
+    ``inputs``: the spec states what each node of the fragment receives."""
+
+    def plus(names: tuple) -> tuple:
+        return names + tuple(p for p in ports if p not in names)
+
+    return replace(
+        spec,
+        conditions=tuple(entropy.Determined(c.targets, plus(c.given)) for c in spec.conditions),
+        existentials=tuple(replace(e, inputs=plus(e.inputs)) for e in spec.existentials),
+        slice_on=spec.slice_on + tuple(ports),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -438,18 +457,11 @@ def conditionalize(gadget: Gadget, w_alphabet: Optional[int], port: str = "W") -
     if any(p.name == port for p in gadget.ports):
         raise ComposeError(f"{gadget.name}: port {port!r} already exists")
     size = None if w_alphabet is None else fixed(w_alphabet)
-    spec = gadget.spec
     return replace(
         gadget,
         name=f"cond_{gadget.name}",
         ports=gadget.ports + (Port(port, PortKind.CONDITION_IN, size),),
-        spec=replace(
-            spec,
-            existentials=tuple(
-                ExistentialVar(e.name, e.inputs + (port,), e.size) for e in spec.existentials
-            ),
-            slice_on=spec.slice_on + (port,),
-        ),
+        spec=_sliced(gadget.spec, (port,)),
     )
 
 
@@ -508,9 +520,6 @@ class Composition:
     pins: Mapping[str, tuple]
     message_index: Mapping[str, int]
     out_edges: Mapping[tuple, str]  # (part, port) -> edge id in net
-
-    def pin_options(self, **kwargs) -> SolveOptions:
-        return SolveOptions(pins=dict(self.pins), **kwargs)
 
 
 def _as_label_tuple(binding: Binding) -> Optional[tuple]:
@@ -857,17 +866,26 @@ def accepted_set(
 
 
 def _cond_vars(cond) -> set:
-    if isinstance(cond, entropy.Conditional):
-        return _cond_vars(cond.inner) | set(cond.given)
     return set(cond.targets) | set(cond.given)
+
+
+def _cols(conds: Sequence, names: Sequence[str]) -> list:
+    """Each condition's (target columns, given columns) in a row layout."""
+    col = {n: i for i, n in enumerate(names)}
+    return [([col[t] for t in c.targets], [col[g] for g in c.given]) for c in conds]
+
+
+def _holds(cols: list, rows) -> bool:
+    return all(entropy.determined(rows, t, g) for t, g in cols)
 
 
 def entropy_accepted_set(gadget: Gadget, family: Sequence, k: int,
                          sizes: Optional[Mapping] = None) -> list:
     """Candidates accepted by the declared information conditions: the joint
     support of messages and candidate outputs is built exactly, existential
-    internal signals are enumerated outright, and each condition is checked on
-    every slice of the condition ports."""
+    internal signals are enumerated outright, and each condition is checked
+    on the support's rows (a conditional gadget's conditions already name
+    its condition ports)."""
     entries = _normalize_family(gadget, family)
     spec = gadget.spec
     accepted = []
@@ -904,28 +922,25 @@ def entropy_accepted_set(gadget: Gadget, family: Sequence, k: int,
             if not ok:
                 break
             names.append(port_name)
-            variables.append((port_name, size))
         else:
             for dv in spec.derived:
                 cols = [names.index(lb) for lb in dv.inputs]
                 for row in rows:
                     row.append(dv.table[tuple(row[c] for c in cols)])
                 names.append(dv.name)
-                variables.append((dv.name, dv.size))
-            if _conditions_hold(spec, variables, rows, cache):
+            if _conditions_hold(spec, names, rows, cache):
                 accepted.append(entry)
             continue
         # candidate out of range: reject
     return accepted
 
 
-def _filter_existential(ex: ExistentialVar, conds: list, sliced, variables: list,
-                        rows: list, cache: dict) -> list:
+def _filter_existential(ex: ExistentialVar, conds: list, names: list, rows: list,
+                        cache: dict) -> list:
     """All tables for one existential that satisfy the conditions involving
     only that existential, as value rows aligned with ``rows``."""
-    names = [n for n, _ in variables]
     in_cols = [names.index(lb) for lb in ex.inputs]
-    ref = sorted({v for c in conds for v in _cond_vars(sliced(c))} - {ex.name})
+    ref = sorted({v for c in conds for v in _cond_vars(c)} - {ex.name})
     ref_cols = [names.index(v) for v in ref]
     keys = [tuple(r[c] for c in in_cols) for r in rows]
     refs = [tuple(r[c] for c in ref_cols) for r in rows]
@@ -934,36 +949,22 @@ def _filter_existential(ex: ExistentialVar, conds: list, sliced, variables: list
     if hit is not None:
         return hit
     domain = sorted(set(keys))
-    mini_vars = tuple((v, dict(variables)[v]) for v in ref) + ((ex.name, ex.size),)
+    cols = _cols(conds, ref + [ex.name])
     survivors = []
     for values in itertools.product(range(ex.size), repeat=len(domain)):
         lut = dict(zip(domain, values))
         col = [lut[key] for key in keys]
-        mini_rows = frozenset(rv + (cv,) for rv, cv in zip(refs, col))
-        dist = entropy.UniformSupport(mini_vars, mini_rows)
-        if all(entropy.check(dist, sliced(c)) for c in conds):
+        if _holds(cols, {rv + (cv,) for rv, cv in zip(refs, col)}):
             survivors.append(col)
     cache[cache_key] = survivors
     return survivors
 
 
-def _conditions_hold(spec: ConditionSpec, variables: list, rows: list,
-                     cache: Optional[dict] = None) -> bool:
-    cache = cache if cache is not None else {}
-    names = [n for n, _ in variables]
-
-    def sliced(cond):
-        return entropy.Conditional(cond, spec.slice_on) if spec.slice_on else cond
-
-    def check_now(vars_now, rows_now, conds):
-        dist = entropy.UniformSupport(tuple(vars_now), frozenset(tuple(r) for r in rows_now))
-        return all(entropy.check(dist, sliced(c)) for c in conds)
-
-    available = set(names) | set(spec.slice_on)
-    pending = list(spec.conditions)
-    ready = [c for c in pending if _cond_vars(c) <= available]
-    pending = [c for c in pending if not _cond_vars(c) <= available]
-    if not check_now(variables, rows, ready):
+def _conditions_hold(spec: ConditionSpec, names: list, rows: list, cache: dict) -> bool:
+    available = set(names)
+    ready = [c for c in spec.conditions if _cond_vars(c) <= available]
+    pending = [c for c in spec.conditions if not _cond_vars(c) <= available]
+    if not _holds(_cols(ready, names), rows):
         return False
     if not spec.existentials:
         return not pending
@@ -980,17 +981,17 @@ def _conditions_hold(spec: ConditionSpec, variables: list, rows: list,
         else:
             joint.append(c)
     choices = [
-        _filter_existential(ex, unary[ex.name], sliced, variables, rows, cache)
+        _filter_existential(ex, unary[ex.name], names, rows, cache)
         for ex in spec.existentials
     ]
     if any(not ch for ch in choices):
         return False
-    vars_full = list(variables) + [(e.name, e.size) for e in spec.existentials]
     if not joint:
         return True
+    cols = _cols(joint, names + [e.name for e in spec.existentials])
     for combo in itertools.product(*choices):
-        rows_full = [list(r) + [col[i] for col in combo] for i, r in enumerate(rows)]
-        if check_now(vars_full, rows_full, joint):
+        rows_full = [r + [col[i] for col in combo] for i, r in enumerate(rows)]
+        if _holds(cols, rows_full):
             return True
     return False
 

@@ -147,12 +147,6 @@ class Network:
     def demand_set(self, v: str) -> frozenset:
         return self.demands.get(v, frozenset())
 
-    def edge_by_id(self, eid: str) -> Edge:
-        for e in self.edges:
-            if e.id == eid:
-                return e
-        raise KeyError(eid)
-
     @property
     def n_messages(self) -> int:
         return len(self.messages)

@@ -25,7 +25,7 @@ import heapq
 import itertools
 import math
 import operator
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterator, Mapping, Optional, Sequence
@@ -58,14 +58,14 @@ class Status(Enum):
 class SolveOptions:
     """pins maps edge id to a fixed row-major encoding table (not searched).
     node_budget caps the entry trials (one value tried at one table entry)
-    of the whole solve; with ``jobs`` > 1 the workers split it.  With
-    deterministic=True the returned witness equals the single-worker one
-    regardless of ``jobs``."""
+    of the whole solve; with ``jobs`` > 1 the workers split it.  A returned
+    witness equals the single-worker one whatever ``jobs`` is; when a
+    worker's budget share ran out before that could be settled, the outcome
+    is BUDGET_EXHAUSTED."""
 
     pins: Mapping[str, Sequence[int]] = field(default_factory=dict)
     symmetry_breaking: bool = True
     node_budget: Optional[int] = None
-    deterministic: bool = True
     jobs: int = 1
 
 
@@ -400,7 +400,9 @@ class _Search:
         for (key, rest), p in earliest.items():
             self.checks_at[p].append((_getter(key), _getter(rest)))
         self.searched = 0
-        self.split_value = 0  # value tried at the sliced entry, in a worker
+        # value tried at the sliced entry, in a worker: every smaller value
+        # the worker owns is done
+        self.split_value = level0[0] if level0 else 0
 
     def solutions(self) -> Iterator[dict]:
         """Depth-first over single entries, with explicit stacks; yields the
@@ -471,12 +473,12 @@ class _Search:
                     del seen[key]
                 x += step
                 if x <= top:
+                    if step > 1:
+                        self.split_value = x
                     if budget is not None and self.searched >= budget:
                         raise _BudgetHit()
                     self.searched += 1
                     frame[3] = x
-                    if step > 1:
-                        self.split_value = x
                     tables[fp][d] = x
                     used[fp] = max(before, x + 1)
                     rows[fti][base + fp] = x
@@ -515,7 +517,7 @@ def _solve_partition(payload) -> tuple:
             return ("found", search.split_value, _zero_filled(tables), search.searched)
         return ("none", None, None, search.searched)
     except _BudgetHit:
-        return ("budget", None, None, search.searched)
+        return ("budget", search.split_value, None, search.searched)
 
 
 def _witness(net: Network, k: int, encodings: Mapping[str, Sequence[int]]) -> CodingScheme:
@@ -553,29 +555,18 @@ def _solve_parallel(net: Network, k: int, opts: SolveOptions) -> SolveOutcome:
         if share is not None:  # the workers' shares sum to the budget
             share = share // jobs + (w < share % jobs)
         payloads.append((net, k, replace(opts, node_budget=share), w, jobs))
-    results: list = [None] * jobs
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = {pool.submit(_solve_partition, p): i for i, p in enumerate(payloads)}
-        if opts.deterministic:
-            for fut, i in futures.items():
-                results[i] = fut.result()
-        else:
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    results[futures[fut]] = fut.result()
-                if any(r and r[0] == "found" for r in results):
-                    for fut in pending:
-                        fut.cancel()
-                    pending = set()
-    found = [r for r in results if r and r[0] == "found"]
-    searched = sum(r[3] for r in results if r)
+        results = list(pool.map(_solve_partition, payloads))
+    found = [r for r in results if r[0] == "found"]
+    cut = min((r[1] for r in results if r[0] == "budget"), default=None)
+    searched = sum(r[3] for r in results)
     if found:
-        # the smallest value at the sliced entry is the single-worker witness
+        # the smallest value at the sliced entry is the single-worker
+        # witness, unless a worker ran out of budget below it
         r = min(found, key=lambda r: r[1])
-        return SolveOutcome(Status.SOLVABLE, _witness(net, k, r[2]), searched)
-    if any(r and r[0] == "budget" for r in results):
+        if cut is None or r[1] < cut:
+            return SolveOutcome(Status.SOLVABLE, _witness(net, k, r[2]), searched)
+    if cut is not None:
         return SolveOutcome(Status.BUDGET_EXHAUSTED, None, searched)
     return SolveOutcome(Status.UNSOLVABLE_AT_K, None, searched)
 

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pfsnet.entropy import (
-    Conditional,
     Determined,
     UniformSupport,
     check,
@@ -31,16 +30,16 @@ def test_determined():
     assert not check(xor_triple(), Determined(("M1",), ("Y",)))
 
 
-def test_conditional_slices():
+def test_sliced_determined():
+    # a condition on every slice of W is Determined with W added to given.
     # Y = M1 xor (W and M2): the parity condition holds on slice w=1 only
     pts = {(m1, m2, w, m1 ^ (w & m2)) for m1 in (0, 1) for m2 in (0, 1) for w in (0, 1)}
     dist = UniformSupport((("M1", 2), ("M2", 2), ("W", 2), ("Y", 2)), pts)
-    cond = Determined(("M2",), ("Y", "M1"))
-    assert not check(dist, cond)
-    assert not check(dist, Conditional(cond, ("W",)))
+    assert not check(dist, Determined(("M2",), ("Y", "M1")))
+    assert not check(dist, Determined(("M2",), ("Y", "M1", "W")))
     good = {(m1, m2, w, m1 ^ m2 ^ w) for m1 in (0, 1) for m2 in (0, 1) for w in (0, 1)}
     dist2 = UniformSupport((("M1", 2), ("M2", 2), ("W", 2), ("Y", 2)), good)
-    assert check(dist2, Conditional(cond, ("W",)))
+    assert check(dist2, Determined(("M2",), ("Y", "M1", "W")))
 
 
 def test_unknown_variable():
@@ -161,3 +160,21 @@ def test_determined_transitive(dist, data):
         dist, Determined((u,), tuple(set(s) | {t}))
     ):
         assert check(dist, Determined((u,), tuple(s)))
+
+
+@given(supports(), st.data())
+def test_given_slice_equals_per_slice_check(dist, data):
+    # H(T | G, S) = 0 iff H(T | G) = 0 on every slice S = s
+    names = [n for n, _ in dist.variables]
+    subset = st.lists(st.sampled_from(names), max_size=len(names), unique=True)
+    t = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=len(names), unique=True))
+    g = data.draw(subset)
+    s = data.draw(subset)
+    slices: dict = {}
+    for pt in dist.support:
+        slices.setdefault(tuple(pt[i] for i in dist.columns(s)), set()).add(pt)
+    per_slice = all(
+        check(UniformSupport(dist.variables, part), Determined(tuple(t), tuple(g)))
+        for part in slices.values()
+    )
+    assert check(dist, Determined(tuple(t), tuple(g) + tuple(s))) == per_slice

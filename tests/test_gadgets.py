@@ -43,6 +43,11 @@ def test_fragments_validate(ctor):
     for v in spec.existentials + spec.derived:
         named |= set(v.inputs)
     assert named <= known, named - known
+    # each node receives the slice ports, and the spec says so
+    for c in spec.conditions:
+        assert set(spec.slice_on) <= set(c.given), c
+    for v in spec.existentials:
+        assert set(spec.slice_on) <= set(v.inputs), v
     # the JSON export defines every variable it names, too
     doc = json.loads(json.dumps(G.gadget_to_json(g)))
     known = {p["name"] for p in doc["ports"]}
