@@ -16,7 +16,6 @@ from . import families, gadgets, indexcoding, tiling
 from .model import (
     FormatError,
     InvalidNetwork,
-    canonicalize,
     deserialize,
     scheme_to_json_dict,
     serialize,
@@ -191,7 +190,11 @@ def _make_gadget(args):
     elif name == "virtual-or":
         if args.b is None:
             raise _UsageError("virtual-or needs --b")
+        if args.w is not None:
+            return gadgets.cond_virtual_or_checker(args.w, args.b)
         g = gadgets.virtual_or_checker(args.b)
+    elif name == "virtual-eq" and args.w is not None:
+        return gadgets.cond_virtual_equality_checker(args.w, args.b or 2)
     elif name == "set":
         if args.n is None:
             raise _UsageError("set needs --n")
@@ -217,8 +220,7 @@ def _cmd_gadget_build(args) -> int:
             size = args.b
         messages[p.name] = size
         bindings[p.name] = (p.name,)
-    comp = gadgets.compose([("g", g, bindings)], messages)
-    net = canonicalize(comp.net)
+    net = gadgets.compose([("g", g, bindings)], messages).net
     _write(args.output, serialize(net))
     if args.output not in (None, "-"):
         _emit({
@@ -244,6 +246,8 @@ def _default_family(args, k: int):
     if name == "set":
         return families.set_family(args.n)
     if name in ("virtual-eq", "virtual-or"):
+        if args.w is not None:
+            return families.theta_grid_family(args.w, args.b or 2)
         return families.theta_family(args.b or 2)
     raise _UsageError(f"no default candidate family for {name}")
 
@@ -255,7 +259,7 @@ def _cmd_verify_checker(args) -> int:
     else:
         family = _default_family(args, args.k)
     sizes = {}
-    if args.name == "virtual-eq":
+    if args.name == "virtual-eq" and args.w is None:
         sizes["W"] = args.b or 2
     net_acc = gadgets.accepted_set(g, family, args.k, sizes=sizes)
     ent_acc = gadgets.entropy_accepted_set(g, family, args.k, sizes=sizes)

@@ -80,29 +80,24 @@ def switch_pair(theta: int, eta0: int = 0, eta1: int = 0) -> dict:
     }
 
 
-def conditional_switch_z0(theta_by_w: Sequence[int], eta_by_w: Optional[Sequence[int]] = None,
-                          w_label: str = "W") -> CandidateFunction:
+def conditional_switch_z0(theta_by_w: Sequence[int]) -> CandidateFunction:
     """The Z0 output of a conditional switch whose state depends on the select
-    value w: Z0 = M_(theta_w) ^ eta_w."""
+    value w: Z0 = M_(theta_w)."""
     b = len(theta_by_w)
-    etas = list(eta_by_w) if eta_by_w is not None else [0] * b
     table = {}
     for m0, m1, w in itertools.product((0, 1), (0, 1), range(b)):
-        table[(m0, m1, w)] = (m1 if theta_by_w[w] else m0) ^ etas[w]
+        table[(m0, m1, w)] = m1 if theta_by_w[w] else m0
     return CandidateFunction(
-        "Z0", ("M0", "M1", w_label), table, 2, input_sizes=(fixed(2), fixed(2), fixed(b))
+        "Z0", ("M0", "M1", "W"), table, 2, input_sizes=(fixed(2), fixed(2), fixed(b))
     )
 
 
-def conditional_switch_z0_grid(theta: Mapping, b1: int, b2: int,
-                               eta: Optional[Mapping] = None) -> CandidateFunction:
+def conditional_switch_z0_grid(theta: Mapping, b1: int, b2: int) -> CandidateFunction:
     """Z0 of a conditional switch addressed by a two-part select (W1, W2):
-    Z0 = M_(theta[w1, w2]) ^ eta[w1, w2]."""
+    Z0 = M_(theta[w1, w2])."""
     table = {}
     for m0, m1, w1, w2 in itertools.product((0, 1), (0, 1), range(b1), range(b2)):
-        t = theta[(w1, w2)]
-        e = eta[(w1, w2)] if eta else 0
-        table[(m0, m1, w1, w2)] = (m1 if t else m0) ^ e
+        table[(m0, m1, w1, w2)] = m1 if theta[(w1, w2)] else m0
     return CandidateFunction(
         "Z0",
         ("M0", "M1", "W1", "W2"),

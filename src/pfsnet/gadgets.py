@@ -47,17 +47,6 @@ class Port:
 
 
 @dataclass(frozen=True)
-class DerivedVar:
-    """A variable defined by an explicit table over other variables (used to
-    state conditions like "determined given Z0 and the parity of M0,M1")."""
-
-    name: str
-    inputs: tuple
-    size: int
-    table: Mapping[tuple, int]
-
-
-@dataclass(frozen=True)
 class ExistentialVar:
     """An internal signal the acceptance test may choose freely: any function
     of ``inputs`` into [0..size)."""
@@ -71,8 +60,6 @@ class ExistentialVar:
 class ConditionSpec:
     conditions: tuple
     existentials: tuple = ()
-    derived: tuple = ()
-    slice_on: tuple = ()  # ports delivered to every node, already folded into the conditions
 
 
 @dataclass(frozen=True)
@@ -85,8 +72,8 @@ class Gadget:
     demand_ports: Mapping[str, tuple]  # node -> demanded message port names
     sig_in: Mapping[str, str]  # SIGNAL_IN port -> distributor node
     sig_out: Mapping[str, tuple]  # SIGNAL_OUT port -> (edge id, distributor node)
-    cond_targets: tuple  # nodes that receive condition signals when bound
-    spec: ConditionSpec  # spec.slice_on ports are wired to every cond_target when bound
+    cond_targets: tuple  # nodes that receive each CONDITION_IN port when bound
+    spec: ConditionSpec
 
     def port(self, name: str) -> Port:
         for p in self.ports:
@@ -154,7 +141,6 @@ class _Builder:
         self.cond_targets: list = []
         self.conditions: list = []
         self.existentials: list = []
-        self.derived: list = []
         self._n = 0
 
     def _tag(self) -> str:
@@ -200,20 +186,16 @@ class _Builder:
         return self._producer(port, inputs, size, port)
 
     def parity(self, label: str, a: str, b: str) -> _Sig:
-        """Internal binary signal that the fragment forces to be the parity of
-        messages a and b up to relabelling; the conditions state it exactly."""
-        y = self._producer(label, [a, b], 2, None)
-        self._demand("xd1", [a], [y, b])
-        self._demand("xd2", [b], [y, a])
-        table = {(x, z): x ^ z for x in (0, 1) for z in (0, 1)}
-        self.derived.append(DerivedVar(label, (a, b), 2, table))
+        """Internal binary signal of binary messages a and b that must, with
+        either message, determine the other: the parity of a and b up to
+        relabelling."""
+        y = self.internal(label, [a, b], 2)
+        self.demand("xd1", [a], [y, b])
+        self.demand("xd2", [b], [y, a])
         return y
 
     def demand(self, label: str, targets: Sequence[str], given: Sequence) -> None:
         self.conditions.append(entropy.Determined(tuple(targets), _names(given)))
-        self._demand(label, targets, given)
-
-    def _demand(self, label: str, targets: Sequence[str], given: Sequence) -> None:
         tag = self._tag()
         node = f"{tag}.{label}"
         self.nodes.append((node, False))
@@ -231,7 +213,7 @@ class _Builder:
                 if x not in self.node_ports[node]:
                     self.node_ports[node].append(x)
 
-    def build(self, slice_on: Sequence[str] = ()) -> Gadget:
+    def build(self) -> Gadget:
         return Gadget(
             name=self.name,
             ports=tuple(self.ports),
@@ -242,32 +224,8 @@ class _Builder:
             sig_in=dict(self.sig_in),
             sig_out=dict(self.sig_out),
             cond_targets=tuple(self.cond_targets),
-            spec=_sliced(
-                ConditionSpec(
-                    conditions=tuple(self.conditions),
-                    existentials=tuple(self.existentials),
-                    derived=tuple(self.derived),
-                ),
-                slice_on,
-            ),
+            spec=ConditionSpec(tuple(self.conditions), tuple(self.existentials)),
         )
-
-
-def _sliced(spec: ConditionSpec, ports: Sequence[str]) -> ConditionSpec:
-    """``spec`` required on every slice of ``ports``.  On a support, "T is
-    determined by G on every slice W = w" is "T is determined by (G, W)", so
-    each port joins every condition's ``given`` and every existential's
-    ``inputs``: the spec states what each node of the fragment receives."""
-
-    def plus(names: tuple) -> tuple:
-        return names + tuple(p for p in ports if p not in names)
-
-    return replace(
-        spec,
-        conditions=tuple(entropy.Determined(c.targets, plus(c.given)) for c in spec.conditions),
-        existentials=tuple(replace(e, inputs=plus(e.inputs)) for e in spec.existentials),
-        slice_on=spec.slice_on + tuple(ports),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -381,52 +339,46 @@ def cycles_gate() -> Gadget:
     return b.build()
 
 
-def _virtual_equality(select_ports: Sequence[tuple], slice_on: Sequence[str]) -> Gadget:
+def _virtual_equality(select: str, size) -> Gadget:
     b = _Builder("virtual_equality_checker")
     b.message_in("M0", 2)
     b.message_in("M1", 2)
-    select = []
-    for name, size in select_ports:
-        b.message_in(name, size)
-        select.append(name)
+    b.message_in(select, size)
     z0 = b.signal_in("Z0", 2)
     y = b.parity("XY", "M0", "M1")
-    g = b.internal("G", [z0] + select, 2)
+    g = b.internal("G", [z0, select], 2)
     b.demand("deq", ["M0", "M1"], [g, y])
-    return b.build(slice_on)
+    return b.build()
 
 
 def virtual_equality_checker() -> Gadget:
     """Attached to a conditional switch output Z0 with select signal W, accepts
     exactly the state families that are constant in W (theta_1 = ... = theta_b)."""
-    return _virtual_equality([("W", None)], [])
+    return _virtual_equality("W", None)
 
 
 def cond_virtual_equality_checker(b1: int, b2: int) -> Gadget:
-    """Select signal (W1, W2); accepts exactly when, for every value of W1,
-    the states theta_{w1, 1..b2} are constant."""
+    """Select signal (W1, W2), conditioned on W1: accepts exactly when, for
+    every value of W1, the states theta_{w1, 1..b2} are constant."""
     if b1 < 1 or b2 < 1:
         raise ValueError("select alphabet sizes must be >= 1")
-    return _virtual_equality([("W1", b1), ("W2", b2)], ["W1"])
+    return conditionalize(_virtual_equality("W2", b2), b1, port="W1")
 
 
-def _virtual_or(arity: int, select_ports: Sequence[tuple], slice_on: Sequence[str]) -> Gadget:
+def _virtual_or(arity: int, select: str, size) -> Gadget:
     if arity < 2:
         raise ValueError(f"or arity must be >= 2, got {arity}")
     b = _Builder(f"virtual_or{arity}_checker")
     b.message_in("M1", 2)
-    select = []
-    for name, size in select_ports:
-        b.message_in(name, size)
-        select.append(name)
+    b.message_in(select, size)
     z0 = b.signal_in("Z0", 2)
-    g = b.internal("G", [z0] + select, arity + 1)
-    internals = [b.internal(f"Z{i}", ["M1"] + select, arity + 1) for i in range(2, arity + 1)]
-    b.demand("dw1", select, [g])
+    g = b.internal("G", [z0, select], arity + 1)
+    internals = [b.internal(f"Z{i}", ["M1", select], arity + 1) for i in range(2, arity + 1)]
+    b.demand("dw1", [select], [g])
     for i, sig in enumerate(internals, start=2):
-        b.demand(f"dw{i}", select, [sig])
+        b.demand(f"dw{i}", [select], [sig])
     b.demand("dm1", ["M1"], [g] + internals)
-    return b.build(slice_on)
+    return b.build()
 
 
 def virtual_or_checker(b: int) -> Gadget:
@@ -434,7 +386,7 @@ def virtual_or_checker(b: int) -> Gadget:
     b, accepts exactly when (theta_1, ..., theta_b) is not all-zero.  The
     select must bind to messages: its values are demanded by the buffer
     construction."""
-    return _virtual_or(b, [("W", b)], [])
+    return _virtual_or(b, "W", b)
 
 
 def cond_virtual_or_checker(b1: int, b2: int) -> Gadget:
@@ -443,10 +395,7 @@ def cond_virtual_or_checker(b1: int, b2: int) -> Gadget:
     (b2+1)-state buffer."""
     if b1 < 1:
         raise ValueError("condition alphabet must be >= 1")
-    return replace(
-        _virtual_or(b2, [("W1", b1), ("W2", b2)], ["W1"]),
-        name="cond_virtual_or_checker",
-    )
+    return conditionalize(_virtual_or(b2, "W2", b2), b1, port="W1")
 
 
 def conditionalize(gadget: Gadget, w_alphabet: Optional[int], port: str = "W") -> Gadget:
@@ -457,11 +406,21 @@ def conditionalize(gadget: Gadget, w_alphabet: Optional[int], port: str = "W") -
     if any(p.name == port for p in gadget.ports):
         raise ComposeError(f"{gadget.name}: port {port!r} already exists")
     size = None if w_alphabet is None else fixed(w_alphabet)
+
+    # on a support, "T is determined by G on every slice W = w" is "T is
+    # determined by (G, W)": W joins what every condition and existential sees
+    def plus(names: tuple) -> tuple:
+        return names if port in names else names + (port,)
+
+    spec = gadget.spec
     return replace(
         gadget,
         name=f"cond_{gadget.name}",
         ports=gadget.ports + (Port(port, PortKind.CONDITION_IN, size),),
-        spec=_sliced(gadget.spec, (port,)),
+        spec=ConditionSpec(
+            tuple(entropy.Determined(c.targets, plus(c.given)) for c in spec.conditions),
+            tuple(replace(e, inputs=plus(e.inputs)) for e in spec.existentials),
+        ),
     )
 
 
@@ -544,7 +503,7 @@ class _Composer:
         self.demands: dict = {}
         self.pins: dict = {}
         self.out_edges: dict = {}
-        self.sig_out_specs: dict = {}
+        self.out_dists: dict = {}  # (part, port) -> (distributor node, size)
 
     def _add_message(self, label: str, size) -> None:
         spec = size if isinstance(size, SizeSpec) else (DEFAULT if size is None else fixed(size))
@@ -685,15 +644,11 @@ class _Composer:
             head = prefix + dist
             self.broadcast.add(head)
             if isinstance(ref, Out):
-                spec = self.sig_out_specs.get((ref.part, ref.port))
-                if spec is None:
-                    raise ComposeError(f"{part}.{p.name}: unknown output {ref.part}.{ref.port}")
+                src_dist, spec = self._output(f"{part}.{p.name}", ref)
                 if p.size is not None and spec != p.size:
                     raise ComposeError(
                         f"{part}.{p.name}: size {p.size} != bound signal size {spec}"
                     )
-                src_edge = self.out_edges[(ref.part, ref.port)]
-                src_dist = self._dist_of(src_edge)
                 self.edges.append(Edge(f"{part}/{p.name}.feed", src_dist, head, spec))
             elif ref is not None:  # message labels routed through a source node
                 node = f"{part}/{p.name}.src"
@@ -708,10 +663,11 @@ class _Composer:
                 self.edges.append(Edge(eid, node, head, p.size))
                 self.pins[eid] = self._candidate_pin(part, cf, p.size, cf.inputs)
         # register outputs, pin them if asked
+        cond_ports = [p.name for p in g.ports if p.kind is PortKind.CONDITION_IN]
         for name, (eid, dist) in g.sig_out.items():
             edge = next(e for e in g.edges if e.id == eid)
             self.out_edges[(part, name)] = prefix + eid
-            self.sig_out_specs[(part, name)] = edge.size
+            self.out_dists[(part, name)] = (prefix + dist, edge.size)
             cf = bindings.get(name)
             if isinstance(cf, CandidateFunction):
                 producer = edge.tail
@@ -720,8 +676,8 @@ class _Composer:
                 domain = []
                 for pn in g.node_ports.get(producer, ()):
                     domain.extend(inject[pn])
-                for wp in g.spec.slice_on:
-                    for comp in inject.get(wp, ()):
+                for wp in cond_ports:
+                    for comp in inject[wp]:
                         if not isinstance(comp, str):
                             raise ComposeError(
                                 f"{part}.{name}: cannot pin an output conditioned on signals"
@@ -730,32 +686,25 @@ class _Composer:
                             domain.append(comp)
                 self.pins[prefix + eid] = self._candidate_pin(part, cf, edge.size, domain)
         # condition wiring: deliver to every producer/demand node of the part
-        for wp in g.spec.slice_on:
-            comps = inject.get(wp)
-            if comps is None:
-                comps = bindings.get(wp)
-                comps = comps if isinstance(comps, tuple) else (comps,)
+        for wp in cond_ports:
             for v in g.cond_targets:
                 node = prefix + v
-                for i, comp in enumerate(comps):
+                for i, comp in enumerate(inject[wp]):
                     if isinstance(comp, str):
                         self.sources.setdefault(node, set()).add(self.index(comp))
                     elif isinstance(comp, Out):
-                        spec = self.sig_out_specs.get((comp.part, comp.port))
-                        if spec is None:
-                            raise ComposeError(f"{part}.{wp}: unknown output {comp.part}.{comp.port}")
-                        src_dist = self._dist_of(self.out_edges[(comp.part, comp.port)])
+                        src_dist, spec = self._output(f"{part}.{wp}", comp)
                         self.edges.append(
                             Edge(f"{part}/{wp}{i}>{v}", src_dist, node, spec)
                         )
                     else:
                         raise ComposeError(f"{part}.{wp}: condition components must be messages or outputs")
 
-    def _dist_of(self, edge_id: str) -> str:
-        for e in self.edges:
-            if e.id == edge_id:
-                return e.head
-        raise ComposeError(f"no edge {edge_id!r}")
+    def _output(self, where: str, ref: Out) -> tuple:
+        try:
+            return self.out_dists[(ref.part, ref.port)]
+        except KeyError:
+            raise ComposeError(f"{where}: unknown output {ref.part}.{ref.port}") from None
 
     def build(self) -> Composition:
         net = Network(
@@ -840,13 +789,8 @@ def _embedding(gadget: Gadget, entry: Mapping[str, CandidateFunction], k: int,
     return compose([("g", gadget, bindings)], messages, k=k)
 
 
-def accepted_set(
-    gadget: Gadget,
-    family: Sequence,
-    k: int,
-    opts: Optional[SolveOptions] = None,
-    sizes: Optional[Mapping] = None,
-) -> list:
+def accepted_set(gadget: Gadget, family: Sequence, k: int,
+                 sizes: Optional[Mapping] = None) -> list:
     """Candidates accepted by the network oracle: each candidate is pinned
     into an embedding network (checker internals left free) and kept iff the
     network is solvable at k.  ``sizes`` instantiates unsized ports."""
@@ -855,12 +799,7 @@ def accepted_set(
     sizes = sizes or {}
     for entry in entries:
         comp = _embedding(gadget, entry, k, sizes)
-        options = SolveOptions(
-            pins=dict(comp.pins),
-            symmetry_breaking=True if opts is None else opts.symmetry_breaking,
-            node_budget=None if opts is None else opts.node_budget,
-        )
-        if solve_at_k(comp.net, k, options).solvable:
+        if solve_at_k(comp.net, k, SolveOptions(pins=dict(comp.pins))).solvable:
             accepted.append(entry)
     return accepted
 
@@ -882,14 +821,14 @@ def _holds(cols: list, rows) -> bool:
 def entropy_accepted_set(gadget: Gadget, family: Sequence, k: int,
                          sizes: Optional[Mapping] = None) -> list:
     """Candidates accepted by the declared information conditions: the joint
-    support of messages and candidate outputs is built exactly, existential
-    internal signals are enumerated outright, and each condition is checked
-    on the support's rows (a conditional gadget's conditions already name
-    its condition ports)."""
+    support of messages and candidate outputs is built exactly, and each
+    condition is checked on the support's rows (a conditional gadget's
+    conditions already name its condition ports).  Existential internal
+    signals, the parity signal among them, are enumerated one table per
+    relabelling class: a ``Determined`` condition keeps its truth value when
+    one variable's values are relabelled one-to-one."""
     entries = _normalize_family(gadget, family)
-    spec = gadget.spec
     accepted = []
-    cache: dict = {}
     sizes = sizes or {}
     for entry in entries:
         variables: list = []
@@ -907,60 +846,54 @@ def entropy_accepted_set(gadget: Gadget, family: Sequence, k: int,
         names = [n for n, _ in variables]
         rows = [list(t) for t in itertools.product(*(range(s) for _, s in variables))]
         for port_name, cf in sorted(entry.items()):
-            p = gadget.port(port_name)
-            size = resolve_size(p.size, k)
+            size = resolve_size(gadget.port(port_name).size, k)
             if cf.size != size:
                 raise ValueError(f"candidate for {port_name} has size {cf.size}, port has {size}")
             cols = [names.index(lb) for lb in cf.inputs]
-            ok = True
-            for row in rows:
-                val = cf.table[tuple(row[c] for c in cols)]
-                if not 0 <= val < size:
-                    ok = False
-                    break
-                row.append(val)
-            if not ok:
-                break
+            values = [cf.table[tuple(row[c] for c in cols)] for row in rows]
+            if not all(0 <= v < size for v in values):
+                break  # candidate out of range: reject
+            for row, v in zip(rows, values):
+                row.append(v)
             names.append(port_name)
         else:
-            for dv in spec.derived:
-                cols = [names.index(lb) for lb in dv.inputs]
-                for row in rows:
-                    row.append(dv.table[tuple(row[c] for c in cols)])
-                names.append(dv.name)
-            if _conditions_hold(spec, names, rows, cache):
+            if _conditions_hold(gadget.spec, names, rows):
                 accepted.append(entry)
-            continue
-        # candidate out of range: reject
     return accepted
 
 
-def _filter_existential(ex: ExistentialVar, conds: list, names: list, rows: list,
-                        cache: dict) -> list:
-    """All tables for one existential that satisfy the conditions involving
-    only that existential, as value rows aligned with ``rows``."""
+def _restricted_growth(n: int, size: int) -> list:
+    """Every table of n values in [0..size) whose values first occur in
+    increasing order, one per class of tables that are equal up to a
+    one-to-one relabelling of the values (restricted growth strings; Knuth,
+    TAOCP 4A, 7.2.1.5), in lexicographic order."""
+    tables = [()]
+    for _ in range(n):
+        tables = [t + (v,) for t in tables for v in range(min(size, max(t, default=-1) + 2))]
+    return tables
+
+
+def _filter_existential(ex: ExistentialVar, conds: list, names: list, rows: list) -> list:
+    """One table per relabelling class for one existential, kept when it
+    satisfies the conditions involving only that existential, as value rows
+    aligned with ``rows``."""
     in_cols = [names.index(lb) for lb in ex.inputs]
     ref = sorted({v for c in conds for v in _cond_vars(c)} - {ex.name})
     ref_cols = [names.index(v) for v in ref]
     keys = [tuple(r[c] for c in in_cols) for r in rows]
     refs = [tuple(r[c] for c in ref_cols) for r in rows]
-    cache_key = (ex.size, ex.inputs, tuple(conds), tuple(zip(keys, refs)))
-    hit = cache.get(cache_key)
-    if hit is not None:
-        return hit
     domain = sorted(set(keys))
     cols = _cols(conds, ref + [ex.name])
     survivors = []
-    for values in itertools.product(range(ex.size), repeat=len(domain)):
+    for values in _restricted_growth(len(domain), ex.size):
         lut = dict(zip(domain, values))
         col = [lut[key] for key in keys]
         if _holds(cols, {rv + (cv,) for rv, cv in zip(refs, col)}):
             survivors.append(col)
-    cache[cache_key] = survivors
     return survivors
 
 
-def _conditions_hold(spec: ConditionSpec, names: list, rows: list, cache: dict) -> bool:
+def _conditions_hold(spec: ConditionSpec, names: list, rows: list) -> bool:
     available = set(names)
     ready = [c for c in spec.conditions if _cond_vars(c) <= available]
     pending = [c for c in spec.conditions if not _cond_vars(c) <= available]
@@ -980,10 +913,7 @@ def _conditions_hold(spec: ConditionSpec, names: list, rows: list, cache: dict) 
             unary[touched.pop()].append(c)
         else:
             joint.append(c)
-    choices = [
-        _filter_existential(ex, unary[ex.name], names, rows, cache)
-        for ex in spec.existentials
-    ]
+    choices = [_filter_existential(ex, unary[ex.name], names, rows) for ex in spec.existentials]
     if any(not ch for ch in choices):
         return False
     if not joint:
@@ -1033,12 +963,6 @@ def gadget_to_json(gadget: Gadget) -> dict:
         "existentials": [
             {"name": e.name, "inputs": list(e.inputs), "size": e.size} for e in spec.existentials
         ],
-        # each table row lists the input values, then the derived value
-        "derived": [
-            {"name": d.name, "inputs": list(d.inputs), "size": d.size,
-             "table": [list(key) + [value] for key, value in sorted(d.table.items())]}
-            for d in spec.derived
-        ],
-        "conditioned_on": list(spec.slice_on),
+        "conditioned_on": [p.name for p in gadget.ports if p.kind is PortKind.CONDITION_IN],
         "fragment": to_json_dict(gadget.fragment_network()),
     }

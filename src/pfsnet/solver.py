@@ -592,34 +592,20 @@ def solve_up_to(net: Network, k_max: int, opts: Optional[SolveOptions] = None) -
     return None
 
 
-def enumerate_solutions(
-    net: Network,
-    k: int,
-    limit: Optional[int] = None,
-    opts: Optional[SolveOptions] = None,
-) -> list:
+def enumerate_solutions(net: Network, k: int, limit: Optional[int] = None) -> list:
     """Up to ``limit`` distinct schemes in a deterministic order.
 
-    By default symmetry breaking is off and every entry that no message tuple
-    reaches takes each of its values, so that with limit=None every scheme is
-    produced.  Pass opts with symmetry breaking on for one scheme per
-    relabelling class of the reached entries, unreached entries zero.
+    The search runs without symmetry breaking or budget, and every entry that
+    no message tuple reaches takes each of its values, so with limit=None
+    every scheme is produced.
     """
-    opts = opts or SolveOptions(symmetry_breaking=False)
-    search = _Search(net, k, opts)
+    search = _Search(net, k, SolveOptions(symmetry_breaking=False))
     out = []
-    try:
-        for tables in search.solutions():
-            if opts.symmetry_breaking:
-                fills: Iterator[dict] = iter([_zero_filled(tables)])
-            else:
-                fills = _completions(tables, search.size)
-            for encodings in fills:
-                out.append(derive_decodings(net, k, encodings))
-                if limit is not None and len(out) >= limit:
-                    return out
-    except _BudgetHit:
-        raise BudgetExhausted(k)
+    for tables in search.solutions():
+        for encodings in _completions(tables, search.size):
+            out.append(derive_decodings(net, k, encodings))
+            if limit is not None and len(out) >= limit:
+                return out
     return out
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import gadgets
-from .model import DEFAULT, FormatError, Network, ValidationReport, canonicalize, fixed
+from .model import DEFAULT, FormatError, Network, ValidationReport, fixed
 from .gadgets import Out
 
 
@@ -277,15 +277,14 @@ def reduce(program: ConditionProgram) -> Network:
                     g = gadgets.conditionalize(gadgets.virtual_equality_checker(), None, port="C")
                     bind = {"M0": "m0", "M1": "m1", "W": select, "Z0": Out(sw, "Z0"), "C": slc}
                 else:
-                    g = gadgets.conditionalize(gadgets._virtual_or(2, [("W", None)], []), None, port="C")
+                    g = gadgets.conditionalize(gadgets._virtual_or(2, "W", None), None, port="C")
                     bind = {"M1": "m1", "W": select, "Z0": Out(sw, "Z0"), "C": slc}
                 parts.append((f"c{ci:02d}{tag}", g, bind))
         else:
             slc = ("x1", "y1") if cond.face_type == FACE_11 else (x2, y2)
-            g = gadgets.conditionalize(gadgets._virtual_or(4, [("W", None)], []), None, port="C")
+            g = gadgets.conditionalize(gadgets._virtual_or(4, "W", None), None, port="C")
             parts.append((f"c{ci:02d}", g, {"M1": "m1", "W": select, "Z0": Out(sw, "Z0"), "C": slc}))
-    comp = gadgets.compose(parts, messages)
-    return canonicalize(comp.net)
+    return gadgets.compose(parts, messages).net
 
 
 # ---------------------------------------------------------------------------

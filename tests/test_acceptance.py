@@ -2,9 +2,8 @@
 with its runtime against the stated budget (visible under ``pytest -s``).
 
 Solving a full reduced tiling network end to end is exponential in network
-size and out of reach at desk scale; that path is covered structurally here
-(criteria 10 and 11) plus the budget-capped, non-gating sweep in
-scripts/sweep_reduced_n2.py.
+size; that path is covered structurally here (criteria 10 and 11), and
+tests/test_tiling.py decides the smallest compiled program at k=1 and k=2.
 """
 
 import itertools
@@ -125,7 +124,7 @@ def test_criterion_06_one_hot_set_checker():
         bind[f"Z{i}_1"] = G.Out(f"sw{i}", "Z1")
     parts.append(("chk", G.set_checker(3, onehot), bind))
     comp = G.compose(parts, {"m0": 2, "m1": 2})
-    sols = enumerate_solutions(comp.net, 1, opts=SolveOptions(symmetry_breaking=False))
+    sols = enumerate_solutions(comp.net, 1)
 
     def state(table):
         for theta, eta in itertools.product((0, 1), (0, 1)):

@@ -103,6 +103,20 @@ def test_gadget_build_and_verify(capsys, tmp_path):
     assert doc["double_oracle_agreement"] is True
 
 
+@pytest.mark.parametrize("name, accepted", [("virtual-eq", 4), ("virtual-or", 9)])
+def test_conditional_virtual_checkers(capsys, tmp_path, name, accepted):
+    # --w W --b B is the conditional checker with condition W1 of size W and
+    # select W2 of size B
+    code, doc = run_json(capsys, ["verify-checker", name, "--b", "2", "--w", "2", "--k", "1"])
+    assert code == 0 and doc["double_oracle_agreement"] is True
+    assert doc["family_size"] == 16 and doc["accepted"] == accepted
+    out_path = tmp_path / "net.json"
+    assert run(["gadget-build", name, "--b", "2", "--w", "2", "-o", str(out_path)]) == 0
+    capsys.readouterr()
+    code, doc = run_json(capsys, ["validate", str(out_path)])
+    assert code == 0
+
+
 def test_verify_checker_with_family_file(capsys, tmp_path):
     from pfsnet import families
 

@@ -7,6 +7,7 @@ from pfsnet.entropy import (
     Determined,
     UniformSupport,
     check,
+    determined,
     support_of_scheme,
 )
 from pfsnet.solver import solve_at_k, verify_scheme
@@ -178,3 +179,19 @@ def test_given_slice_equals_per_slice_check(dist, data):
         for part in slices.values()
     )
     assert check(dist, Determined(tuple(t), tuple(g) + tuple(s))) == per_slice
+
+
+@given(supports(), st.data())
+def test_determined_invariant_under_relabelling(dist, data):
+    # the entropy oracle enumerates each existential's tables up to
+    # relabelling: a one-to-one relabelling of one column's values never
+    # changes whether a Determined condition holds
+    width = len(dist.variables)
+    col = data.draw(st.integers(0, width - 1))
+    perm = data.draw(st.permutations(range(dist.variables[col][1])))
+    cols = st.lists(st.integers(0, width - 1), max_size=width, unique=True)
+    t = data.draw(cols)
+    g = data.draw(cols)
+    rows = sorted(dist.support)
+    relabelled = [r[:col] + (perm[r[col]],) + r[col + 1:] for r in rows]
+    assert determined(relabelled, t, g) == determined(rows, t, g)

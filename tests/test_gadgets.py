@@ -33,29 +33,31 @@ ALL_CONSTRUCTORS = [
 def test_fragments_validate(ctor):
     g = ctor()
     assert validate(g.fragment_network()).ok
-    # every variable the derived spec names is a port, existential or derived
+    # every variable the derived spec names is a port or an existential
     spec = g.spec
+    cond_ports = {p.name for p in g.ports if p.kind is G.PortKind.CONDITION_IN}
     known = {p.name for p in g.ports}
-    known |= {v.name for v in spec.existentials + spec.derived}
-    named = set(spec.slice_on)
+    known |= {v.name for v in spec.existentials}
+    named = set()
     for c in spec.conditions:
         named |= set(c.targets) | set(c.given)
-    for v in spec.existentials + spec.derived:
+    for v in spec.existentials:
         named |= set(v.inputs)
     assert named <= known, named - known
-    # each node receives the slice ports, and the spec says so
+    # each node receives the condition ports, and the spec says so
     for c in spec.conditions:
-        assert set(spec.slice_on) <= set(c.given), c
+        assert cond_ports <= set(c.given), c
     for v in spec.existentials:
-        assert set(spec.slice_on) <= set(v.inputs), v
+        assert cond_ports <= set(v.inputs), v
     # the JSON export defines every variable it names, too
     doc = json.loads(json.dumps(G.gadget_to_json(g)))
+    assert set(doc["conditioned_on"]) == cond_ports
     known = {p["name"] for p in doc["ports"]}
-    known |= {v["name"] for v in doc["existentials"] + doc["derived"]}
-    named = set(doc["conditioned_on"])
+    known |= {v["name"] for v in doc["existentials"]}
+    named = set()
     for c in doc["conditions"]:
         named |= set(c["targets"]) | set(c["given"])
-    for v in doc["existentials"] + doc["derived"]:
+    for v in doc["existentials"]:
         named |= set(v["inputs"])
     assert named <= known, named - known
 
@@ -79,6 +81,18 @@ def table_of(entry, port):
 
 def entry_keys(entries):
     return [tuple(sorted((p, table_of(e, p)) for p in e)) for e in entries]
+
+
+@pytest.mark.parametrize("n", range(6))
+@pytest.mark.parametrize("size", range(1, 5))
+def test_restricted_growth_is_one_table_per_relabelling_class(n, size):
+    def canonical(t):
+        first: dict = {}
+        return tuple(first.setdefault(x, len(first)) for x in t)
+
+    tables = G._restricted_growth(n, size)
+    assert len(tables) == len(set(tables))
+    assert set(tables) == {canonical(t) for t in itertools.product(range(size), repeat=n)}
 
 
 def test_xor_checker_accepts_parity_only():
@@ -222,7 +236,7 @@ def test_compose_switch_with_set_checker():
     ]
     comp = G.compose(parts, {"m0": 2, "m1": 2})
     assert validate(comp.net).ok
-    sols = enumerate_solutions(comp.net, 1, opts=SolveOptions(symmetry_breaking=False))
+    sols = enumerate_solutions(comp.net, 1)
     assert sols
     z0_edge = comp.out_edges[("sw", "Z0")]
     for s in sols:
@@ -280,8 +294,7 @@ def test_gate_nonvacuity_and_soundness():
         comp = G.compose([("g", gadget, binds)], msgs)
         out = solve_at_k(comp.net, k)
         assert out.solvable, name
-        for scheme in enumerate_solutions(comp.net, k, limit=5,
-                                          opts=SolveOptions(symmetry_breaking=False)):
+        for scheme in enumerate_solutions(comp.net, k, limit=5):
             dist = support_of_scheme(comp.net, scheme)
             rename = {p.name: comp.out_edges[("g", p.name)] for p in gadget.ports
                       if p.kind is G.PortKind.SIGNAL_OUT}

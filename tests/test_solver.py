@@ -288,7 +288,7 @@ def test_enumerate_covers_unreached_entries():
         enc = {"e1": t1, "e2": t2, "e3": t3}
         if verify_scheme(net, derive_decodings(net, 1, enc)).ok:
             naive.add(tuple(sorted(enc.items())))
-    schemes = enumerate_solutions(net, 1, opts=SolveOptions(symmetry_breaking=False))
+    schemes = enumerate_solutions(net, 1)
     got = [tuple(sorted(s.encodings.items())) for s in schemes]
     assert len(naive) == 96 and len(got) == len(set(got)) and set(got) == naive
 

@@ -54,6 +54,19 @@ def test_reduce_structure():
         assert canonicalize(net) == net  # already simple
 
 
+@pytest.mark.parametrize("program", [
+    T.ConditionProgram(2, ()),
+    T.ConditionProgram(2, (T.EdgeEq("h", {1}), T.EdgeOr("v", {2}), T.FaceOr("22", {1}))),
+    T.ConditionProgram(3, ()),
+    fig_program(),
+], ids=["empty2", "cond2", "empty3", "cond3"])
+def test_reduce_output_is_canonical(program):
+    # reduce emits no parallel edges and no unlimited edges, so it needs no
+    # canonicalize pass
+    net = T.reduce(program)
+    assert canonicalize(net) == net
+
+
 def test_reduce_uses_only_expected_edge_sizes():
     prog = T.ConditionProgram(3, (
         T.EdgeEq("h", frozenset({1})),
