@@ -234,7 +234,9 @@ def _cmd_gadget_build(args) -> int:
 def _default_family(args, k: int):
     name = args.name
     if name in ("xor", "xor-gate"):
-        return families.cond_xor_family() if args.w else families.xor_family()
+        return families.xor_family() if args.w is None else families.cond_xor_family(args.w)
+    if args.w is not None and name in ("switch", "tristate-gate", "cycles"):
+        raise _UsageError(f"{name} has no default family conditioned on W; pass one with --family")
     if name in ("tristate", "tristate-gate"):
         return families.tristate_family()
     if name == "bstate":

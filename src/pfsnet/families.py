@@ -40,9 +40,10 @@ def xor_family() -> list:
     return all_functions("Y", [("M1", 2), ("M2", 2)], 2)
 
 
-def cond_xor_family() -> list:
-    """All 256 binary functions of (M1, M2, W) with a binary condition W."""
-    return all_functions("Y", [("M1", 2), ("M2", 2), ("W", 2)], 2)
+def cond_xor_family(w: int = 2) -> list:
+    """All 2^(4w) binary functions of (M1, M2, W) with a condition W of size
+    w (256 for a binary W)."""
+    return all_functions("Y", [("M1", 2), ("M2", 2), ("W", w)], 2)
 
 
 def tristate_family() -> list:

@@ -303,11 +303,43 @@ def switch_gate() -> Gadget:
     return b.build()
 
 
+def _theta_free_cover(n: int, theta: set) -> list:
+    """Cubes ``{coordinate: bit}`` that each contain no pattern of ``theta``
+    and together cover every other n-bit pattern, computed without
+    enumerating the 2^n points: split on the coordinates in order, emitting a
+    prefix once no theta pattern agrees with it; then widen each cube by
+    dropping every fixed coordinate whose removal keeps it theta-free; then
+    drop duplicates (first occurrence kept)."""
+    cubes = []
+    stack = [({}, sorted(theta))]  # (prefix, theta patterns agreeing with it)
+    while stack:
+        prefix, agree = stack.pop()
+        if not agree:
+            cubes.append(prefix)
+        elif len(prefix) < n:
+            i = len(prefix)
+            for a in (1, 0):  # 0 is popped first: prefixes in lexicographic order
+                stack.append(({**prefix, i: a}, [t for t in agree if t[i] == a]))
+    out = []
+    for cube in cubes:
+        for i in list(cube):
+            wider = {j: a for j, a in cube.items() if j != i}
+            if not any(all(t[j] == a for j, a in wider.items()) for t in theta):
+                cube = wider
+        if cube not in out:
+            out.append(cube)
+    return out
+
+
 def set_checker(n: int, theta: Iterable[tuple]) -> Gadget:
-    """Checker over the outputs of n switches sharing inputs (M0, M1): for
-    every bit pattern outside ``theta`` it demands M1 from the corresponding
-    output picks, which is impossible exactly when the switch states form that
-    pattern.  Accepted state vectors are exactly ``theta``."""
+    """Checker over the outputs of n switches sharing inputs (M0, M1).  Each
+    cube of ``_theta_free_cover(n, theta)`` fixes some switches' bits; for each
+    cube it demands M1 from the output picks ``Z{i}_{bit}`` of the switches it
+    fixes, which is impossible exactly when the switch states lie in that
+    cube.  The cubes miss ``theta`` and cover the rest, so the accepted state
+    vectors are exactly ``theta``.  A demand's label is ``ex`` followed by one
+    character per switch: its bit, or ``-`` for a switch the cube leaves
+    free."""
     allowed = {tuple(int(x) for x in t) for t in theta}
     if not allowed:
         raise ValueError("theta must be nonempty: an empty set checker is unsatisfiable by construction")
@@ -319,9 +351,9 @@ def set_checker(n: int, theta: Iterable[tuple]) -> Gadget:
     for i in range(1, n + 1):
         for a in (0, 1):
             sigs[(i, a)] = b.signal_in(f"Z{i}_{a}", 2)
-    for pattern in sorted(set(itertools.product((0, 1), repeat=n)) - allowed):
-        label = "ex" + "".join(str(x) for x in pattern)
-        picks = [sigs[(i, pattern[i - 1])] for i in range(1, n + 1)]
+    for cube in _theta_free_cover(n, allowed):
+        label = "ex" + "".join(str(cube.get(i, "-")) for i in range(n))
+        picks = [sigs[(i + 1, cube[i])] for i in sorted(cube)]
         b.demand(label, ["M1"], picks)
     return b.build()
 

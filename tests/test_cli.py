@@ -117,6 +117,19 @@ def test_conditional_virtual_checkers(capsys, tmp_path, name, accepted):
     assert code == 0
 
 
+def test_verify_checker_xor_condition_alphabet(capsys):
+    # the default family follows --w: 2^12 tables of (M1, M2, W) at |W| = 3
+    code, doc = run_json(capsys, ["verify-checker", "xor", "--w", "3", "--k", "1"])
+    assert code == 0 and doc["double_oracle_agreement"] is True
+    assert doc["family_size"] == 4096 and doc["accepted"] == 8
+
+
+@pytest.mark.parametrize("name", ["switch", "tristate-gate", "cycles"])
+def test_verify_checker_w_without_conditioned_family(capsys, name):
+    assert run(["verify-checker", name, "--w", "2", "--k", "1"]) == 3
+    assert "--family" in capsys.readouterr().err
+
+
 def test_verify_checker_with_family_file(capsys, tmp_path):
     from pfsnet import families
 

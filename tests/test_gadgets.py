@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 
@@ -217,6 +218,58 @@ def test_set_checker_validation():
         G.set_checker(2, [(0, 1, 1)])
     full = G.set_checker(2, list(itertools.product((0, 1), repeat=2)))
     assert not full.demand_ports  # nothing excluded, no demands emitted
+
+
+def emitted_cubes(g):
+    """Each demand's cube {switch index: bit}, read off the signals the demand
+    receives, checked against its label."""
+    cubes = []
+    for c in g.spec.conditions:
+        assert c.targets == ("M1",)
+        cube = {}
+        for name in c.given:
+            i, a = name[1:].split("_")
+            cube[int(i) - 1] = int(a)
+        assert len(cube) == len(c.given)  # one pick per fixed switch
+        cubes.append(cube)
+    labels = [v.split(".", 1)[1] for v in g.demand_ports]
+    n = int(g.name[len("set"):-len("_checker")])
+    assert labels == ["ex" + "".join(str(c.get(i, "-")) for i in range(n)) for c in cubes]
+    return cubes
+
+
+def cover_thetas():
+    for n in (1, 2, 3):
+        points = list(itertools.product((0, 1), repeat=n))
+        for r in range(1, len(points) + 1):
+            for theta in itertools.combinations(points, r):
+                yield n, set(theta)
+    rng = random.Random(20240)
+    for n in (4, 5, 6):
+        points = list(itertools.product((0, 1), repeat=n))
+        for _ in range(25):
+            yield n, set(rng.sample(points, rng.randint(1, len(points))))
+
+
+def test_set_checker_cover_is_exact():
+    # the demands' cubes forbid exactly the complement of theta, so no cube
+    # contains a theta pattern and together they cover every other one
+    for n, theta in cover_thetas():
+        cubes = emitted_cubes(G.set_checker(n, theta))
+        assert len(cubes) == len({tuple(sorted(c.items())) for c in cubes})
+        points = set(itertools.product((0, 1), repeat=n))
+        forbidden = {p for p in points if any(all(p[i] == a for i, a in c.items()) for c in cubes)}
+        assert forbidden == points - theta, (n, theta)
+
+
+def test_set_checker_oracles_agree_on_every_theta_n3():
+    family = F.set_family(3)
+    for r in range(1, 9):
+        for theta in itertools.combinations(itertools.product((0, 1), repeat=3), r):
+            g = G.set_checker(3, theta)
+            net = entry_keys(G.accepted_set(g, family, 1))
+            assert net == entry_keys(G.entropy_accepted_set(g, family, 1)), theta
+            assert net == entry_keys([F.set_entry(t) for t in sorted(theta)]), theta
 
 
 def test_set_checker_entropy_acceptance():

@@ -2,7 +2,7 @@ import pytest
 
 from pfsnet import tiling as T
 from pfsnet.model import canonicalize, validate
-from pfsnet.solver import Status, solve_at_k, verify_scheme
+from pfsnet.solver import SolveOptions, Status, solve_at_k, verify_scheme
 
 
 def fig_coloring():
@@ -96,13 +96,20 @@ def test_reduce_condition_parts():
 
 
 def test_reduce_growth_is_structural():
-    base = T.reduce(T.ConditionProgram(2, ()))
-    one = T.reduce(T.ConditionProgram(2, (T.EdgeEq("h", frozenset({1})),)))
-    two = T.reduce(T.ConditionProgram(2, (T.EdgeEq("h", frozenset({1})),
-                                          T.EdgeEq("v", frozenset({2})))))
-    d1 = (len(one.nodes) - len(base.nodes), len(one.edges) - len(base.edges))
-    d2 = (len(two.nodes) - len(one.nodes), len(two.edges) - len(one.edges))
-    assert d1 == d2  # each edge-equality condition adds the same increment
+    for n_colors in (2, 3):
+        base = T.reduce(T.ConditionProgram(n_colors, ()))
+        one = T.reduce(T.ConditionProgram(n_colors, (T.EdgeEq("h", frozenset({1})),)))
+        two = T.reduce(T.ConditionProgram(n_colors, (T.EdgeEq("h", frozenset({1})),
+                                                     T.EdgeEq("v", frozenset({2})))))
+        d1 = (len(one.nodes) - len(base.nodes), len(one.edges) - len(base.edges))
+        d2 = (len(two.nodes) - len(one.nodes), len(two.edges) - len(one.edges))
+        assert d1 == d2  # each edge-equality condition adds the same increment
+
+
+def test_reduce_set_checker_stays_small():
+    # one demand per cube of a theta-free cover; one demand per excluded
+    # pattern would be 2^14 - 4 demands and about 230K edges
+    assert len(T.reduce(T.ConditionProgram(4, ())).edges) < 1_000
 
 
 def test_torus_bruteforce_empty_program():
@@ -181,3 +188,16 @@ def test_reduced_net_decided_at_k1_and_k2():
     out = solve_at_k(net, 2)
     assert out.status is Status.SOLVABLE
     assert verify_scheme(net, out.scheme).ok
+
+
+def test_reduced_empty_3_colour_net_solvable_at_k2():
+    net = T.reduce(T.ConditionProgram(3, ()))
+    out = solve_at_k(net, 2, SolveOptions(node_budget=20_000))
+    assert out.status is Status.SOLVABLE
+    assert verify_scheme(net, out.scheme).ok
+
+
+def test_reduced_5_colour_face_program_unsolvable_at_k1():
+    net = T.reduce(T.ConditionProgram(5, (T.FaceOr("11", frozenset({1, 2})),)))
+    assert validate(net).ok
+    assert solve_at_k(net, 1).status is Status.UNSOLVABLE_AT_K
