@@ -309,25 +309,30 @@ def _theta_free_cover(n: int, theta: set) -> list:
     enumerating the 2^n points: split on the coordinates in order, emitting a
     prefix once no theta pattern agrees with it; then widen each cube by
     dropping every fixed coordinate whose removal keeps it theta-free; then
-    drop duplicates (first occurrence kept)."""
+    drop duplicates (first occurrence kept).  Patterns and cubes are ints
+    with bit i for coordinate i; a cube is ``(mask, value)`` over its fixed
+    coordinates, and pattern t lies in it when ``t & mask == value``."""
+    thetas = [sum(a << i for i, a in enumerate(t)) for t in sorted(theta)]
     cubes = []
-    stack = [({}, sorted(theta))]  # (prefix, theta patterns agreeing with it)
+    stack = [(0, 0, thetas)]  # (mask, value) of a prefix, theta patterns in it
     while stack:
-        prefix, agree = stack.pop()
+        mask, value, agree = stack.pop()
         if not agree:
-            cubes.append(prefix)
-        elif len(prefix) < n:
-            i = len(prefix)
-            for a in (1, 0):  # 0 is popped first: prefixes in lexicographic order
-                stack.append(({**prefix, i: a}, [t for t in agree if t[i] == a]))
-    out = []
-    for cube in cubes:
-        for i in list(cube):
-            wider = {j: a for j, a in cube.items() if j != i}
-            if not any(all(t[j] == a for j, a in wider.items()) for t in theta):
-                cube = wider
-        if cube not in out:
-            out.append(cube)
+            cubes.append((mask, value))
+        elif mask.bit_length() < n:
+            bit = mask + 1  # a prefix fixes coordinates 0..i-1, so bit is 1 << i
+            # 0 is popped first: prefixes in lexicographic order
+            stack.append((mask | bit, value | bit, [t for t in agree if t & bit]))
+            stack.append((mask | bit, value, [t for t in agree if not t & bit]))
+    out, seen = [], set()
+    for mask, value in cubes:
+        for i in range(mask.bit_length()):
+            wider = mask & ~(1 << i)
+            if wider != mask and not any(t & wider == value & wider for t in thetas):
+                mask, value = wider, value & wider
+        if (mask, value) not in seen:
+            seen.add((mask, value))
+            out.append({i: value >> i & 1 for i in range(n) if mask >> i & 1})
     return out
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -70,7 +71,12 @@ class ConfusionGraph:
 
 def confusion_graph(inst: IndexInstance, k: int, cap: int = 4096) -> ConfusionGraph:
     """Graph on message tuples with an edge wherever some client would confuse
-    the two tuples: same side information, different demand."""
+    the two tuples: same side information, different demand.
+
+    Under one client the tuples with equal side information form a group and
+    the tuples of a group with equal demand form a part; the client adds the
+    complete multipartite graph on each group's parts.  So each tuple gains
+    its group minus its own part, and no pair is tested on its own."""
     sizes = [resolve_size(m, k) for m in inst.messages]
     total = 1
     for s in sizes:
@@ -78,22 +84,29 @@ def confusion_graph(inst: IndexInstance, k: int, cap: int = 4096) -> ConfusionGr
     if total > cap:
         raise CapExceeded(f"{total} message tuples exceed cap of {cap}")
     vertices = list(itertools.product(*(range(s) for s in sizes)))
-    index = {v: i for i, v in enumerate(vertices)}
     adj: list = [set() for _ in vertices]
-    clients = [
-        (sorted(c.has), sorted(c.wants)) for c in inst.clients if c.wants
-    ]
-    for has, wants in clients:
+    for c in inst.clients:
+        if not c.wants:
+            continue
+        side, demand = _projection(c.has), _projection(c.wants)
         groups: dict = {}
-        for v in vertices:
-            groups.setdefault(tuple(v[i - 1] for i in has), []).append(v)
-        for group in groups.values():
-            for va, vb in itertools.combinations(group, 2):
-                if any(va[i - 1] != vb[i - 1] for i in wants):
-                    ia, ib = index[va], index[vb]
-                    adj[ia].add(ib)
-                    adj[ib].add(ia)
+        for i, v in enumerate(vertices):
+            groups.setdefault(side(v), {}).setdefault(demand(v), []).append(i)
+        for parts in groups.values():
+            members = set().union(*parts.values())
+            for part in parts.values():
+                others = members.difference(part)
+                for i in part:
+                    adj[i] |= others
     return ConfusionGraph(tuple(vertices), tuple(frozenset(s) for s in adj))
+
+
+def _projection(messages: frozenset):
+    """Key function of a message tuple's values at the given 1-based message
+    indices, in increasing index order."""
+    if not messages:
+        return lambda v: ()
+    return operator.itemgetter(*(i - 1 for i in sorted(messages)))
 
 
 def chromatic_leq(graph: ConfusionGraph, m: int) -> Optional[dict]:
@@ -155,10 +168,11 @@ def solvable_at_k(inst: IndexInstance, k: int, cap: int = 4096) -> tuple:
         return False, None
     f = dict(coloring)
     for c in inst.clients:
+        side, demand = _projection(c.has), _projection(c.wants)
         seen: dict = {}
         for v in graph.vertices:
-            key = (f[v],) + tuple(v[i - 1] for i in sorted(c.has))
-            val = tuple(v[i - 1] for i in sorted(c.wants))
+            key = (f[v], side(v))
+            val = demand(v)
             if seen.setdefault(key, val) != val:
                 raise AssertionError("internal error: coloring does not decode")
     return True, f

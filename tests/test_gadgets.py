@@ -262,6 +262,41 @@ def test_set_checker_cover_is_exact():
         assert forbidden == points - theta, (n, theta)
 
 
+def reference_theta_free_cover(n, theta):
+    # the cover as first written, with patterns and cubes as tuples and
+    # dicts: split on the coordinates in order, widen, drop duplicates
+    cubes = []
+    stack = [({}, sorted(theta))]
+    while stack:
+        prefix, agree = stack.pop()
+        if not agree:
+            cubes.append(prefix)
+        elif len(prefix) < n:
+            i = len(prefix)
+            for a in (1, 0):
+                stack.append(({**prefix, i: a}, [t for t in agree if t[i] == a]))
+    out = []
+    for cube in cubes:
+        for i in list(cube):
+            wider = {j: a for j, a in cube.items() if j != i}
+            if not any(all(t[j] == a for j, a in wider.items()) for t in theta):
+                cube = wider
+        if cube not in out:
+            out.append(cube)
+    return out
+
+
+def test_theta_free_cover_matches_reference():
+    rng = random.Random(306)
+    for n in range(1, 7):
+        points = list(itertools.product((0, 1), repeat=n))
+        for _ in range(60):
+            theta = set(rng.sample(points, rng.randint(1, len(points))))
+            got = G._theta_free_cover(n, theta)
+            want = reference_theta_free_cover(n, theta)
+            assert got == want, (n, theta)
+
+
 def test_set_checker_oracles_agree_on_every_theta_n3():
     family = F.set_family(3)
     for r in range(1, 9):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pfsnet import indexcoding as I
-from pfsnet.model import DEFAULT, fixed
+from pfsnet.model import DEFAULT, fixed, resolve_size
 
 
 def test_confusion_graph_shapes():
@@ -39,6 +39,85 @@ def test_chromatic_leq_large_graph_no_recursion_error():
     inst = I.IndexInstance((DEFAULT,) * 3, 1, 3, clients)
     ok, f = I.solvable_at_k(inst, 11)
     assert ok and len(f) == 11 ** 3
+
+
+def pairwise_confusion_graph(inst, k):
+    # the definition, pair by pair: an edge wherever some client's side
+    # information agrees on two tuples and its demand does not
+    sizes = [resolve_size(m, k) for m in inst.messages]
+    vertices = tuple(itertools.product(*(range(s) for s in sizes)))
+    adj = [set() for _ in vertices]
+    for (ia, va), (ib, vb) in itertools.combinations(enumerate(vertices), 2):
+        for c in inst.clients:
+            if (all(va[i - 1] == vb[i - 1] for i in c.has)
+                    and any(va[i - 1] != vb[i - 1] for i in c.wants)):
+                adj[ia].add(ib)
+                adj[ib].add(ia)
+    return I.ConfusionGraph(vertices, tuple(frozenset(s) for s in adj))
+
+
+def random_index_instance(rng, max_messages=3):
+    # sizes fixed or default; clients may hold or demand several messages,
+    # demand nothing beyond what they hold, or repeat an earlier client
+    l = rng.randint(1, max_messages)
+    msgs = tuple(rng.choice([fixed(1), fixed(2), fixed(3), DEFAULT]) for _ in range(l))
+    clients = []
+    for _ in range(rng.randint(0, 4)):
+        if clients and rng.random() < 0.2:
+            clients.append(rng.choice(clients))
+            continue
+        has = frozenset(i for i in range(1, l + 1) if rng.random() < 0.4)
+        wants = frozenset(i for i in range(1, l + 1) if rng.random() < 0.5)
+        clients.append(I.Client(has, wants))
+    return I.IndexInstance(msgs, 1, rng.randint(0, 1), tuple(clients))
+
+
+def test_confusion_graph_matches_pairwise_reference():
+    rng = random.Random(2008)
+    seen = set()
+    for _ in range(200):
+        inst = random_index_instance(rng)
+        for c in inst.clients:
+            seen.add("empty wants" if not c.wants else "wants")
+            seen.update({"multi has"} if len(c.has) > 1 else ())
+            seen.update({"multi wants"} if len(c.wants) > 1 else ())
+        seen.update({"repeated"} if len(set(inst.clients)) < len(inst.clients) else ())
+        seen.update({"default"} if DEFAULT in inst.messages else {"fixed"})
+        for k in (1, 2, 3):
+            assert I.confusion_graph(inst, k) == pairwise_confusion_graph(inst, k), (inst, k)
+    assert seen == {"empty wants", "wants", "multi has", "multi wants", "repeated",
+                    "default", "fixed"}
+
+
+@given(st.integers(0, 10**6), st.integers(1, 3))
+def test_confusion_graph_is_pairwise_definition(seed, k):
+    inst = random_index_instance(random.Random(seed))
+    assert I.confusion_graph(inst, k) == pairwise_confusion_graph(inst, k)
+
+
+def decodes(inst, f):
+    # every client recovers its demand from the broadcast symbol and its
+    # side information
+    for c in inst.clients:
+        seen = {}
+        for v, x in f.items():
+            key = (x, tuple(v[i - 1] for i in sorted(c.has)))
+            val = tuple(v[i - 1] for i in sorted(c.wants))
+            if seen.setdefault(key, val) != val:
+                return False
+    return True
+
+
+def test_cap_boundary_cyclic_instance():
+    # 16^3 = 4,096 tuples, exactly the default cap
+    clients = tuple(I.Client(frozenset({i}), frozenset({i % 3 + 1})) for i in (1, 2, 3))
+    inst = I.IndexInstance((DEFAULT,) * 3, 1, 3, clients)
+    ok, f = I.solvable_at_k(inst, 16)
+    assert ok and len(f) == 16 ** 3
+    assert all(0 <= x < inst.output_bound(16) for x in f.values())
+    assert decodes(inst, f)
+    with pytest.raises(I.CapExceeded):
+        I.solvable_at_k(inst, 16, cap=4095)
 
 
 def test_chromatic_against_exhaustive():
