@@ -78,11 +78,14 @@ def test_confusion_graph_matches_pairwise_reference():
     for _ in range(200):
         inst = random_index_instance(rng)
         for c in inst.clients:
-            seen.add("empty wants" if not c.wants else "wants")
-            seen.update({"multi has"} if len(c.has) > 1 else ())
-            seen.update({"multi wants"} if len(c.wants) > 1 else ())
-        seen.update({"repeated"} if len(set(inst.clients)) < len(inst.clients) else ())
-        seen.update({"default"} if DEFAULT in inst.messages else {"fixed"})
+            seen.add("wants" if c.wants else "empty wants")
+            if len(c.has) > 1:
+                seen.add("multi has")
+            if len(c.wants) > 1:
+                seen.add("multi wants")
+        if len(set(inst.clients)) < len(inst.clients):
+            seen.add("repeated")
+        seen.add("default" if DEFAULT in inst.messages else "fixed")
         for k in (1, 2, 3):
             assert I.confusion_graph(inst, k) == pairwise_confusion_graph(inst, k), (inst, k)
     assert seen == {"empty wants", "wants", "multi has", "multi wants", "repeated",
