@@ -2,7 +2,8 @@
 
 Exit codes: 0 = decided positive as queried, 1 = decided negative,
 2 = budget or cap exhausted (explicitly not a negative answer), 3 = input
-error.  Every command except export-dot emits a JSON object on stdout.
+error, 4 = internal error (traceback on stderr).  Every command except
+export-dot emits a JSON object on stdout.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from typing import Optional
 
 from . import families, gadgets, indexcoding, tiling
@@ -24,7 +26,7 @@ from .model import (
 )
 from .solver import BudgetExhausted, SolveOptions, Status, solve_at_k, solve_up_to
 
-OK, NEGATIVE, EXHAUSTED, BAD_INPUT = 0, 1, 2, 3
+OK, NEGATIVE, EXHAUSTED, BAD_INPUT, INTERNAL = 0, 1, 2, 3, 4
 
 
 class _UsageError(Exception):
@@ -34,6 +36,19 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _int_arg(low: int, even: bool = False):
+    """argparse type: an int >= low, even if asked (a violation is a usage
+    error)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low or even and value % 2:
+            raise argparse.ArgumentTypeError(f"must be {'an even' if even else 'an'} int >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _emit(doc: dict) -> None:
@@ -52,8 +67,11 @@ def _write(path: Optional[str], text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_net(path: str):
@@ -64,14 +82,12 @@ def _solve_options(args) -> SolveOptions:
     return SolveOptions(
         symmetry_breaking=not args.no_symmetry,
         node_budget=args.budget,
-        jobs=args.jobs,
     )
 
 
 def _add_solver_flags(p) -> None:
-    p.add_argument("--budget", type=int, default=None, help="entry-trial cap, shared by all workers")
+    p.add_argument("--budget", type=_int_arg(0), default=None, help="entry-trial cap")
     p.add_argument("--no-symmetry", action="store_true", help="disable symmetry breaking")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for the search")
 
 
 def _build_parser() -> _Parser:
@@ -83,31 +99,30 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("solve", help="decide solvability at a fixed default size k")
     sp.add_argument("net")
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--k", type=_int_arg(1), required=True)
     _add_solver_flags(sp)
-    sp.add_argument("--deterministic", action="store_true", help="omit the trial count, so without --budget output is byte-identical across runs and worker counts")
 
     sp = sub.add_parser("sweep", help="try k = 1..k-max (a semi-decision: absence proves nothing beyond k-max)")
     sp.add_argument("net")
-    sp.add_argument("--k-max", type=int, required=True, dest="k_max")
+    sp.add_argument("--k-max", type=_int_arg(1), required=True, dest="k_max")
     _add_solver_flags(sp)
 
     sp = sub.add_parser("gadget-build", help="emit a standalone network for a named gadget")
     sp.add_argument("name", choices=sorted(gadgets.catalog()))
-    sp.add_argument("--b", type=int, default=None, help="buffer/select arity")
-    sp.add_argument("--n", type=int, default=None, help="switch count for set checkers")
+    sp.add_argument("--b", type=_int_arg(1), default=None, help="buffer/select arity")
+    sp.add_argument("--n", type=_int_arg(1), default=None, help="switch count for set checkers")
     sp.add_argument("--theta", default=None, help="JSON file with allowed state patterns")
-    sp.add_argument("--w", type=int, default=None, help="condition alphabet: emit the conditional variant")
+    sp.add_argument("--w", type=_int_arg(1), default=None, help="condition alphabet: emit the conditional variant")
     sp.add_argument("-o", "--output", default="-")
 
     sp = sub.add_parser("verify-checker", help="accepted candidate set plus double-oracle agreement")
     sp.add_argument("name", choices=sorted(gadgets.catalog()))
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--k", type=_int_arg(1), required=True)
     sp.add_argument("--family", default=None, help="JSON candidate family (default: the full canonical family)")
-    sp.add_argument("--b", type=int, default=None)
-    sp.add_argument("--n", type=int, default=None)
+    sp.add_argument("--b", type=_int_arg(1), default=None)
+    sp.add_argument("--n", type=_int_arg(1), default=None)
     sp.add_argument("--theta", default=None)
-    sp.add_argument("--w", type=int, default=None)
+    sp.add_argument("--w", type=_int_arg(1), default=None)
 
     sp = sub.add_parser("reduce", help="compile a torus-coloring condition program into a network")
     sp.add_argument("program")
@@ -115,13 +130,13 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("torus", help="exhaustive torus-coloring search at a concrete size")
     sp.add_argument("program")
-    sp.add_argument("--width", type=int, required=True)
-    sp.add_argument("--height", type=int, required=True)
+    sp.add_argument("--width", type=_int_arg(2, even=True), required=True)
+    sp.add_argument("--height", type=_int_arg(2, even=True), required=True)
     sp.add_argument("--cap", type=int, default=64, help="max cells searched exhaustively")
 
     sp = sub.add_parser("index", help="decide an index-coding instance at a fixed k")
     sp.add_argument("instance")
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--k", type=_int_arg(1), required=True)
     sp.add_argument("--cap", type=int, default=4096, help="max message tuples")
 
     sp = sub.add_parser("export-dot", help="graphviz text for a network file")
@@ -147,10 +162,8 @@ def _cmd_solve(args) -> int:
         "k": args.k,
         "status": outcome.status.value,
         "witness": scheme_to_json_dict(outcome.scheme) if outcome.scheme else None,
+        "searched": outcome.searched,
     }
-    if not args.deterministic:
-        # workers split the search, so the trial count varies with job count
-        doc["searched"] = outcome.searched
     _emit(doc)
     return {Status.SOLVABLE: OK, Status.UNSOLVABLE_AT_K: NEGATIVE, Status.BUDGET_EXHAUSTED: EXHAUSTED}[outcome.status]
 
@@ -178,10 +191,21 @@ def _load_theta(args, n: int):
     if args.theta is None:
         return [tuple(int(i == j) for j in range(n)) for i in range(n)]
     doc = json.loads(_read(args.theta))
+    if not isinstance(doc, list) or not all(isinstance(row, list) for row in doc):
+        raise FormatError(f"{args.theta}: expected a list of 0/1 lists")
     return [tuple(row) for row in doc]
 
 
 def _make_gadget(args):
+    """The named gadget at the given parameters; a parameter the builder
+    rejects is a usage error."""
+    try:
+        return _build_gadget(args)
+    except ValueError as exc:
+        raise _UsageError(f"{args.name}: {exc}") from exc
+
+
+def _build_gadget(args):
     name = args.name
     if name == "bstate":
         if args.b is None:
@@ -223,10 +247,12 @@ def _cmd_gadget_build(args) -> int:
     net = gadgets.compose([("g", g, bindings)], messages).net
     _write(args.output, serialize(net))
     if args.output not in (None, "-"):
+        spec = gadgets.gadget_to_json(g)
         _emit({
             "command": "gadget-build", "name": g.name, "output": args.output,
             "nodes": len(net.nodes), "edges": len(net.edges),
             "ports": [{"name": p.name, "kind": p.kind.value} for p in g.ports],
+            **{key: spec[key] for key in ("conditions", "existentials", "conditioned_on")},
         })
     return OK
 
@@ -263,7 +289,12 @@ def _cmd_verify_checker(args) -> int:
     sizes = {}
     if args.name == "virtual-eq" and args.w is None:
         sizes["W"] = args.b or 2
-    net_acc = gadgets.accepted_set(g, family, args.k, sizes=sizes)
+    try:
+        net_acc = gadgets.accepted_set(g, family, args.k, sizes=sizes)
+    except gadgets.ComposeError as exc:
+        if not args.family:
+            raise
+        raise FormatError(f"{args.family} does not fit {g.name}: {exc}") from exc
     ent_acc = gadgets.entropy_accepted_set(g, family, args.k, sizes=sizes)
 
     def key(entry):
@@ -360,24 +391,26 @@ _DRIVERS = {
 
 
 def run(argv=None) -> int:
-    """Parse arguments, dispatch, and return the exit code."""
+    """Parse arguments, dispatch, and return the exit code.  Input errors
+    exit 3; any other exception is an internal error and propagates."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         return _DRIVERS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return BAD_INPUT
-    except (FormatError, InvalidNetwork, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return BAD_INPUT
-    except (ValueError, KeyError) as exc:
+    except (_UsageError, FormatError, InvalidNetwork, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
 
 
 def main(argv=None) -> int:
-    return run(argv)
+    """The console entry point: ``run``, with an internal error reported as
+    exit 4 and its traceback on stderr."""
+    try:
+        return run(argv)
+    except Exception:
+        traceback.print_exc()
+        print("internal error", file=sys.stderr)
+        return INTERNAL
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ import json
 from typing import Mapping, Optional, Sequence
 
 from .gadgets import CandidateFunction
-from .model import DEFAULT, fixed
+from .model import DEFAULT, FormatError, fixed
 
 
 def all_functions(
@@ -193,11 +193,15 @@ def family_to_json(family: Sequence) -> str:
 
 
 def family_from_json(text: str) -> list:
-    doc = json.loads(text)
-    out = []
-    for item in doc:
-        if "output" in item and "size" in item:
-            out.append(candidate_from_json(item))
-        else:
-            out.append({name: candidate_from_json(sub) for name, sub in item.items()})
+    """Inverse of ``family_to_json``; a malformed document raises FormatError."""
+    try:
+        doc = json.loads(text)
+        out = []
+        for item in doc:
+            if "output" in item and "size" in item:
+                out.append(candidate_from_json(item))
+            else:
+                out.append({name: candidate_from_json(sub) for name, sub in item.items()})
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise FormatError(f"candidate family: {exc!r}") from exc
     return out

@@ -799,7 +799,7 @@ def _normalize_family(gadget: Gadget, family: Sequence) -> list:
             entry = {entry.output: entry}
         missing = [p for p in pinned_ports if p not in entry]
         if missing:
-            raise ValueError(f"candidate entry missing tables for ports {missing}")
+            raise ComposeError(f"candidate entry missing tables for ports {missing}")
         out.append(dict(entry))
     return out
 

@@ -25,13 +25,13 @@ import heapq
 import itertools
 import math
 import operator
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .model import (
     CodingScheme,
+    InvalidNetwork,
     Network,
     ValidationReport,
     resolve_size,
@@ -58,21 +58,17 @@ class Status(Enum):
 class SolveOptions:
     """pins maps edge id to a fixed row-major encoding table (not searched).
     node_budget caps the entry trials (one value tried at one table entry)
-    of the whole solve; with ``jobs`` > 1 the workers split it.  A returned
-    witness equals the single-worker one whatever ``jobs`` is; when a
-    worker's budget share ran out before that could be settled, the outcome
-    is BUDGET_EXHAUSTED."""
+    of the whole solve."""
 
     pins: Mapping[str, Sequence[int]] = field(default_factory=dict)
     symmetry_breaking: bool = True
     node_budget: Optional[int] = None
-    jobs: int = 1
 
 
 @dataclass(frozen=True)
 class SolveOutcome:
-    """``searched`` counts entry trials: one value tried at one table entry,
-    summed over workers."""
+    """``searched`` counts entry trials: one value tried at one table entry.
+    The search is deterministic, so the count is the same on every run."""
 
     status: Status
     scheme: Optional[CodingScheme] = None
@@ -260,16 +256,15 @@ class _Search:
     messages refute the branch.
     """
 
-    def __init__(self, net: Network, k: int, opts: SolveOptions, level0: Optional[tuple] = None):
+    def __init__(self, net: Network, k: int, opts: SolveOptions):
         rep = validate(net)
         if not rep.ok:
-            raise ValueError(f"invalid network: {rep.violations}")
+            raise InvalidNetwork(f"invalid network: {rep.violations}")
         if net.unlimited:
             raise ValueError("network has unlimited edge annotations; canonicalize first")
         if k < 1:
             raise ValueError("k must be >= 1")
         self.opts = opts
-        self.level0 = level0
         msg_sizes = [resolve_size(m, k) for m in net.messages]
         n_msgs = len(msg_sizes)
         self.tuples = list(itertools.product(*(range(s) for s in msg_sizes)))
@@ -400,9 +395,6 @@ class _Search:
         for (key, rest), p in earliest.items():
             self.checks_at[p].append((_getter(key), _getter(rest)))
         self.searched = 0
-        # value tried at the sliced entry, in a worker: every smaller value
-        # the worker owns is done
-        self.split_value = level0[0] if level0 else 0
 
     def solutions(self) -> Iterator[dict]:
         """Depth-first over single entries, with explicit stacks; yields the
@@ -421,11 +413,8 @@ class _Search:
         # per check, the demanded messages seen so far under each key
         checks_at = [[({}, key_of, want_of) for key_of, want_of in at] for at in self.checks_at]
         budget = self.opts.node_budget
-        # the first entry with more than one value to try is sliced across
-        # workers; every entry before it has exactly one
-        split = self.level0
         used = [0] * n  # values in use per edge (restricted growth)
-        frames: list = []  # [tuple, position, entry, value, top, step, used before, trail mark]
+        frames: list = []  # [tuple, position, entry, value, top, used before, trail mark]
         trail: list = []  # (seen, key) inserted by the checks, in order
         ti = p = 0
         while True:
@@ -455,10 +444,7 @@ class _Search:
                 x = tables[p][d]
                 if x < 0:
                     top = min(used[p], sizes[p] - 1) if sym[p] else sizes[p] - 1
-                    start, step = 0, 1
-                    if split is not None and top > 0:
-                        (start, step), split = split, None
-                    frames.append([ti, p, d, start - step, top, step, used[p], len(trail)])
+                    frames.append([ti, p, d, -1, top, used[p], len(trail)])
                     break
                 row[base + p] = x
                 p += 1
@@ -467,14 +453,12 @@ class _Search:
             # move the newest frame to its next value, dropping exhausted ones
             while frames:
                 frame = frames[-1]
-                fti, fp, d, x, top, step, before, mark = frame
+                fti, fp, d, x, top, before, mark = frame
                 while len(trail) > mark:
                     seen, key = trail.pop()
                     del seen[key]
-                x += step
+                x += 1
                 if x <= top:
-                    if step > 1:
-                        self.split_value = x
                     if budget is not None and self.searched >= budget:
                         raise _BudgetHit()
                     self.searched += 1
@@ -505,23 +489,9 @@ class _Search:
         return out
 
 
-def _zero_filled(tables: Mapping[str, Sequence]) -> dict:
-    return {eid: tuple(x or 0 for x in t) for eid, t in tables.items()}
-
-
-def _solve_partition(payload) -> tuple:
-    net, k, opts, start, step = payload
-    search = _Search(net, k, opts, level0=(start, step))
-    try:
-        for tables in search.solutions():
-            return ("found", search.split_value, _zero_filled(tables), search.searched)
-        return ("none", None, None, search.searched)
-    except _BudgetHit:
-        return ("budget", search.split_value, None, search.searched)
-
-
-def _witness(net: Network, k: int, encodings: Mapping[str, Sequence[int]]) -> CodingScheme:
-    scheme = derive_decodings(net, k, encodings)
+def _witness(net: Network, k: int, tables: Mapping[str, Sequence]) -> CodingScheme:
+    """The verified scheme of a search solution, unreached entries zero-filled."""
+    scheme = derive_decodings(net, k, {eid: tuple(x or 0 for x in t) for eid, t in tables.items()})
     rep = verify_scheme(net, scheme)
     if not rep.ok:
         raise AssertionError(f"internal error: witness failed verification: {rep.violations}")
@@ -537,38 +507,12 @@ def solve_at_k(net: Network, k: int, opts: Optional[SolveOptions] = None) -> Sol
     """
     opts = opts or SolveOptions()
     search = _Search(net, k, opts)
-    if opts.jobs > 1 and search.edges:
-        return _solve_parallel(net, k, opts)
     try:
         for tables in search.solutions():
-            return SolveOutcome(Status.SOLVABLE, _witness(net, k, _zero_filled(tables)), search.searched)
+            return SolveOutcome(Status.SOLVABLE, _witness(net, k, tables), search.searched)
         return SolveOutcome(Status.UNSOLVABLE_AT_K, None, search.searched)
     except _BudgetHit:
         return SolveOutcome(Status.BUDGET_EXHAUSTED, None, search.searched)
-
-
-def _solve_parallel(net: Network, k: int, opts: SolveOptions) -> SolveOutcome:
-    jobs = opts.jobs
-    payloads = []
-    for w in range(jobs):
-        share = opts.node_budget
-        if share is not None:  # the workers' shares sum to the budget
-            share = share // jobs + (w < share % jobs)
-        payloads.append((net, k, replace(opts, node_budget=share), w, jobs))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(_solve_partition, payloads))
-    found = [r for r in results if r[0] == "found"]
-    cut = min((r[1] for r in results if r[0] == "budget"), default=None)
-    searched = sum(r[3] for r in results)
-    if found:
-        # the smallest value at the sliced entry is the single-worker
-        # witness, unless a worker ran out of budget below it
-        r = min(found, key=lambda r: r[1])
-        if cut is None or r[1] < cut:
-            return SolveOutcome(Status.SOLVABLE, _witness(net, k, r[2]), searched)
-    if cut is not None:
-        return SolveOutcome(Status.BUDGET_EXHAUSTED, None, searched)
-    return SolveOutcome(Status.UNSOLVABLE_AT_K, None, searched)
 
 
 def solve_up_to(net: Network, k_max: int, opts: Optional[SolveOptions] = None) -> Optional[tuple]:

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from pfsnet import tiling
-from pfsnet.cli import run
+from pfsnet import cli, families, gadgets, tiling
+from pfsnet.cli import main, run
 from pfsnet.model import serialize
 
 
@@ -63,15 +63,14 @@ def test_sweep(capsys, butterfly_file, pigeonhole_file):
     assert "semi-decision" in doc["note"]
 
 
-def test_solve_deterministic_byte_identical(capsys, butterfly_file):
-    run(["solve", butterfly_file, "--k", "2", "--deterministic"])
-    first = capsys.readouterr().out
-    run(["solve", butterfly_file, "--k", "2", "--deterministic"])
-    second = capsys.readouterr().out
-    assert first == second
-    run(["solve", butterfly_file, "--k", "2", "--deterministic", "--jobs", "2"])
-    parallel = capsys.readouterr().out
-    assert parallel == first
+def test_solve_output_byte_identical(capsys, butterfly_file):
+    outs = []
+    for _ in range(2):
+        assert run(["solve", butterfly_file, "--k", "2"]) == 0
+        outs.append(capsys.readouterr().out)
+    doc = json.loads(outs[0])
+    assert doc["status"] == "solvable" and doc["searched"] > 0
+    assert outs[0] == outs[1]
 
 
 def test_bad_inputs(capsys, tmp_path):
@@ -83,6 +82,85 @@ def test_bad_inputs(capsys, tmp_path):
     capsys.readouterr()
     assert run(["solve", "--k"]) == 3
     capsys.readouterr()
+
+
+@pytest.fixture
+def input_files(butterfly_file, tmp_path):
+    """Paths by name: a good network, instance and program, and the bad
+    inputs (a cyclic network, a theta of the wrong width, two candidate
+    families that do not parse or do not fit xor)."""
+    cyclic = {"version": 1,
+              "nodes": [{"id": "a", "broadcast": False}, {"id": "b", "broadcast": False}],
+              "edges": [{"id": "1", "tail": "a", "head": "b", "size": None},
+                        {"id": "2", "tail": "b", "head": "a", "size": None}],
+              "messages": [None], "sources": {"a": [1]}, "demands": {"b": [1]}}
+    candidate = json.loads(families.family_to_json(families.xor_family()[:1]))[0]
+    docs = {
+        "cyclic": json.dumps(cyclic),
+        "instance": json.dumps({"messages": [2, None], "a": 1, "b": 1,
+                                "clients": [{"has": [1], "wants": [2]}]}),
+        "program": tiling.program_to_json(tiling.ConditionProgram(2, ())),
+        "theta": "[[1, 0, 0], [0, 1, 0]]",
+        "family_no_inputs": json.dumps([{k: v for k, v in candidate.items() if k != "inputs"}]),
+        "family_wrong_size": json.dumps([dict(candidate, size=3)]),
+    }
+    paths = {"net": butterfly_file}
+    for name, text in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        paths[name] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{net}", "--k", "0"],
+    ["sweep", "{net}", "--k-max", "0"],
+    ["solve", "{cyclic}", "--k", "2"],
+    ["sweep", "{cyclic}", "--k-max", "2"],
+    ["index", "{instance}", "--k", "0"],
+    ["torus", "{program}", "--width", "3", "--height", "4"],
+    ["verify-checker", "bstate", "--b", "1", "--k", "1"],
+    ["gadget-build", "virtual-or", "--b", "1"],
+    ["gadget-build", "virtual-eq", "--b", "0"],
+    ["gadget-build", "set", "--n", "2", "--theta", "{theta}"],
+    ["verify-checker", "xor", "--k", "2", "--family", "{family_no_inputs}"],
+    ["verify-checker", "xor", "--k", "2", "--family", "{family_wrong_size}"],
+    ["solve", "{net}", "--k", "2", "--budget", "-1"],
+    ["solve", "{net}", "--k", "2", "--jobs", "2"],
+    ["sweep", "{net}", "--k-max", "2", "--jobs", "2"],
+    ["solve", "{net}", "--k", "2", "--deterministic"],
+], ids=lambda argv: "-".join(a.strip("{}-") for a in argv))
+def test_input_errors_exit_3(capsys, input_files, argv):
+    assert main([a.format(**input_files) for a in argv]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("exc", [KeyError("k"), ValueError("v"), AssertionError("a")],
+                         ids=lambda exc: type(exc).__name__)
+def test_internal_errors_exit_4(capsys, monkeypatch, butterfly_file, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "solve_at_k", fail)
+    argv = ["solve", butterfly_file, "--k", "2"]
+    with pytest.raises(type(exc)):
+        run(argv)
+    assert main(argv) == 4
+    assert "Traceback" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, build", [
+    (["xor-gate"], gadgets.xor_gate),
+    (["switch", "--w", "2"], lambda: gadgets.conditionalize(gadgets.switch_gate(), 2)),
+], ids=["xor-gate", "switch-w2"])
+def test_gadget_build_summary_declares_spec(capsys, tmp_path, argv, build):
+    code, doc = run_json(capsys, ["gadget-build", *argv, "-o", str(tmp_path / "net.json")])
+    assert code == 0
+    spec = gadgets.gadget_to_json(build())
+    assert spec["conditions"]
+    for key in ("conditions", "existentials", "conditioned_on"):
+        assert doc[key] == spec[key]
 
 
 def test_export_dot(capsys, butterfly_file):
@@ -131,8 +209,6 @@ def test_verify_checker_w_without_conditioned_family(capsys, name):
 
 
 def test_verify_checker_with_family_file(capsys, tmp_path):
-    from pfsnet import families
-
     fam = families.xor_family()[:4]
     path = tmp_path / "family.json"
     path.write_text(families.family_to_json(fam))

@@ -132,8 +132,6 @@ def test_determinism(classic_butterfly):
     a = solve_at_k(classic_butterfly, 2)
     b = solve_at_k(classic_butterfly, 2)
     assert a.scheme == b.scheme
-    c = solve_at_k(classic_butterfly, 2, SolveOptions(jobs=2))
-    assert c.scheme == a.scheme
 
 
 def test_oracle_equivalence_random_nets():
@@ -291,25 +289,6 @@ def test_enumerate_covers_unreached_entries():
     schemes = enumerate_solutions(net, 1)
     got = [tuple(sorted(s.encodings.items())) for s in schemes]
     assert len(naive) == 96 and len(got) == len(set(got)) and set(got) == naive
-
-
-def test_parallel_budget_is_shared(classic_butterfly):
-    out = solve_at_k(classic_butterfly, 4, SolveOptions(node_budget=1000, jobs=2))
-    assert out.status is Status.BUDGET_EXHAUSTED and out.searched <= 1000
-
-
-def test_parallel_witness_is_single_worker_or_exhausted():
-    # two binary edges n0 -> n1 carry one binary message; with value 0 at
-    # the sliced entry the search needs more trials than worker 0's share
-    net = Network(("n0", "n1"),
-                  (Edge("a", "n0", "n1", fixed(2)), Edge("b", "n0", "n1", fixed(2))),
-                  (fixed(2),), {"n0": {1}}, {"n1": {1}})
-    one = solve_at_k(net, 1, SolveOptions(node_budget=8))
-    assert one.solvable and one.searched == 5
-    two = solve_at_k(net, 1, SolveOptions(node_budget=8, jobs=2))
-    assert two.status is Status.BUDGET_EXHAUSTED and two.searched <= 8
-    for jobs in (2, 3):
-        assert solve_at_k(net, 1, SolveOptions(jobs=jobs)).scheme == one.scheme
 
 
 def test_deep_network_no_recursion_error():
