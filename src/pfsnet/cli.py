@@ -132,12 +132,12 @@ def _build_parser() -> _Parser:
     sp.add_argument("program")
     sp.add_argument("--width", type=_int_arg(2, even=True), required=True)
     sp.add_argument("--height", type=_int_arg(2, even=True), required=True)
-    sp.add_argument("--cap", type=int, default=64, help="max cells searched exhaustively")
+    sp.add_argument("--cap", type=_int_arg(1), default=64, help="max cells searched exhaustively")
 
     sp = sub.add_parser("index", help="decide an index-coding instance at a fixed k")
     sp.add_argument("instance")
     sp.add_argument("--k", type=_int_arg(1), required=True)
-    sp.add_argument("--cap", type=int, default=4096, help="max message tuples")
+    sp.add_argument("--cap", type=_int_arg(1), default=4096, help="max message tuples")
 
     sp = sub.add_parser("export-dot", help="graphviz text for a network file")
     sp.add_argument("net")
@@ -232,27 +232,15 @@ def _build_gadget(args):
 
 def _cmd_gadget_build(args) -> int:
     g = _make_gadget(args)
-    messages = {}
-    bindings = {}
-    for p in g.ports:
-        if p.kind is gadgets.PortKind.SIGNAL_OUT:
-            continue
-        size = p.size
-        if size is None:
-            if args.b is None:
-                raise _UsageError(f"port {p.name} needs --b to fix its alphabet")
-            size = args.b
-        messages[p.name] = size
-        bindings[p.name] = (p.name,)
-    net = gadgets.compose([("g", g, bindings)], messages).net
+    unsized = [p.name for p in g.ports if p.size is None]
+    if unsized and args.b is None:
+        raise _UsageError(f"port {unsized[0]} needs --b to fix its alphabet")
+    net = gadgets._embedding(g, {}, None, dict.fromkeys(unsized, args.b)).net
     _write(args.output, serialize(net))
     if args.output not in (None, "-"):
-        spec = gadgets.gadget_to_json(g)
         _emit({
-            "command": "gadget-build", "name": g.name, "output": args.output,
+            **gadgets.gadget_to_json(g), "command": "gadget-build", "output": args.output,
             "nodes": len(net.nodes), "edges": len(net.edges),
-            "ports": [{"name": p.name, "kind": p.kind.value} for p in g.ports],
-            **{key: spec[key] for key in ("conditions", "existentials", "conditioned_on")},
         })
     return OK
 

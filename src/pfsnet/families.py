@@ -172,6 +172,8 @@ def candidate_to_json(cf: CandidateFunction) -> dict:
 
 def candidate_from_json(doc: Mapping) -> CandidateFunction:
     inputs = [(d["name"], d["size"]) for d in doc["inputs"]]
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in doc["values"]):
+        raise ValueError("candidate values must be ints")
     table = {tuple(k): v for k, v in zip(doc["keys"], doc["values"])}
     return CandidateFunction(
         output=doc["output"],

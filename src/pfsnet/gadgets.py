@@ -81,32 +81,6 @@ class Gadget:
                 return p
         raise KeyError(f"{self.name}: no port {name!r}")
 
-    def message_ports(self) -> list:
-        return [p for p in self.ports if p.kind is PortKind.MESSAGE_IN]
-
-    def fragment_network(self) -> Network:
-        """The fragment as a standalone network with one placeholder message
-        per message port (unbound signal inputs appear as floating nodes)."""
-        mports = self.message_ports()
-        index = {p.name: i for i, p in enumerate(mports, start=1)}
-        messages = tuple((p.size or DEFAULT) for p in mports)
-        sources = {
-            v: {index[name] for name in names if name in index}
-            for v, names in self.node_ports.items()
-        }
-        demands = {
-            v: {index[name] for name in names} for v, names in self.demand_ports.items()
-        }
-        broadcast = {v for v, bc in self.nodes if bc}
-        return Network(
-            nodes=tuple(v for v, _ in self.nodes),
-            edges=self.edges,
-            messages=messages,
-            sources=sources,
-            demands=demands,
-            broadcast=frozenset(broadcast),
-        )
-
 
 # ---------------------------------------------------------------------------
 # fragment builder
@@ -510,6 +484,48 @@ class CandidateFunction:
 Binding = Union[str, tuple, Out, CandidateFunction]
 
 
+def _candidate_values(where: str, cf: CandidateFunction, size: int,
+                      in_sizes: Mapping[str, int]) -> tuple:
+    """Check that ``cf`` is a total function from exactly the labels of
+    ``in_sizes`` (label -> alphabet size) into [0..size), and return its
+    values row-major over those labels in mapping order, the last varying
+    fastest.  Both acceptance oracles check every candidate here."""
+    if set(cf.inputs) != set(in_sizes):
+        raise ComposeError(
+            f"{where}: candidate inputs {sorted(cf.inputs)} != required domain {sorted(in_sizes)}"
+        )
+    if cf.size != size:
+        raise ComposeError(f"{where}: candidate size {cf.size} != port size {size}")
+    keys = itertools.product(*(range(n) for n in in_sizes.values()))
+    if cf.inputs != tuple(in_sizes):  # put each key in the candidate's input order
+        pos = [list(in_sizes).index(lb) for lb in cf.inputs]
+        keys = (tuple(combo[i] for i in pos) for combo in keys)
+    values = []
+    for key in keys:
+        try:
+            val = cf.table[key]
+        except KeyError:
+            raise ComposeError(f"{where}: candidate table missing entry {key}")
+        if not 0 <= val < size:
+            raise ComposeError(f"{where}: candidate value {val} out of range [0,{size})")
+        values.append(val)
+    return tuple(values)
+
+
+def _output_domain(where: str, g: Gadget, port: str) -> list:
+    """The ports a candidate pinning output ``port`` must be a function of:
+    the message ports feeding its producer, then the condition ports."""
+    eid, _ = g.sig_out[port]
+    producer = next(e.tail for e in g.edges if e.id == eid)
+    if any(e.head == producer for e in g.edges):
+        raise ComposeError(f"{where}: cannot pin an output fed by signals")
+    domain = list(g.node_ports.get(producer, ()))
+    for p in g.ports:
+        if p.kind is PortKind.CONDITION_IN and p.name not in domain:
+            domain.append(p.name)
+    return domain
+
+
 @dataclass(frozen=True)
 class Composition:
     net: Network
@@ -579,32 +595,16 @@ class _Composer:
 
     def _candidate_pin(self, part: str, cf: CandidateFunction, spec: SizeSpec, domain_labels: Sequence[str]) -> tuple:
         """Row-major table over domain_labels sorted by message index."""
-        if set(cf.inputs) != set(domain_labels):
-            raise ComposeError(
-                f"{part}: candidate inputs {sorted(cf.inputs)} != required domain {sorted(domain_labels)}"
-            )
+        order = sorted(domain_labels, key=self.index)
         if self.k is None:
             size = spec.value
-            in_sizes = {lb: self.specs[lb].value for lb in domain_labels}
+            in_sizes = {lb: self.specs[lb].value for lb in order}
             if size is None or None in in_sizes.values():
                 raise ComposeError(f"{part}: candidate over default-size alphabet needs k")
         else:
             size = resolve_size(spec, self.k)
-            in_sizes = {lb: resolve_size(self.specs[lb], self.k) for lb in domain_labels}
-        if cf.size != size:
-            raise ComposeError(f"{part}: candidate size {cf.size} != port size {size}")
-        order = sorted(domain_labels, key=self.index)
-        rows = []
-        for combo in itertools.product(*(range(in_sizes[lb]) for lb in order)):
-            key = tuple(combo[order.index(lb)] for lb in cf.inputs)
-            try:
-                val = cf.table[key]
-            except KeyError:
-                raise ComposeError(f"{part}: candidate table missing entry {key}")
-            if not 0 <= val < size:
-                raise ComposeError(f"{part}: candidate value {val} out of range [0,{size})")
-            rows.append(val)
-        return tuple(rows)
+            in_sizes = {lb: resolve_size(self.specs[lb], self.k) for lb in order}
+        return _candidate_values(part, cf, size, in_sizes)
 
     def add_part(self, part: str, g: Gadget, bindings: Mapping[str, Binding]) -> None:
         known = {p.name for p in g.ports}
@@ -665,7 +665,6 @@ class _Composer:
             self.edges.append(Edge(prefix + e.id, prefix + e.tail, prefix + e.head, e.size))
         for v, names in g.node_ports.items():
             for name in names:
-                port = g.port(name)
                 labels = inject.get(name)
                 if labels is None:
                     raise ComposeError(f"{part}.{name}: unbound message port")
@@ -707,14 +706,9 @@ class _Composer:
             self.out_dists[(part, name)] = (prefix + dist, edge.size)
             cf = bindings.get(name)
             if isinstance(cf, CandidateFunction):
-                producer = edge.tail
-                if any(e.head == producer for e in g.edges):
-                    raise ComposeError(f"{part}.{name}: cannot pin an output fed by signals")
                 domain = []
-                for pn in g.node_ports.get(producer, ()):
-                    domain.extend(inject[pn])
-                for wp in cond_ports:
-                    for comp in inject[wp]:
+                for pn in _output_domain(f"{part}.{name}", g, name):
+                    for comp in inject[pn]:
                         if not isinstance(comp, str):
                             raise ComposeError(
                                 f"{part}.{name}: cannot pin an output conditioned on signals"
@@ -800,6 +794,9 @@ def _normalize_family(gadget: Gadget, family: Sequence) -> list:
         missing = [p for p in pinned_ports if p not in entry]
         if missing:
             raise ComposeError(f"candidate entry missing tables for ports {missing}")
+        unknown = sorted(set(entry) - set(pinned_ports))
+        if unknown:
+            raise ComposeError(f"{gadget.name}: candidate entry names no signal port: {unknown}")
         out.append(dict(entry))
     return out
 
@@ -813,16 +810,17 @@ def _port_size(gadget: Gadget, p: Port, sizes: Mapping) -> SizeSpec:
     return p.size
 
 
-def _embedding(gadget: Gadget, entry: Mapping[str, CandidateFunction], k: int,
+def _embedding(gadget: Gadget, entry: Mapping[str, CandidateFunction], k: Optional[int],
                sizes: Mapping) -> Composition:
+    """The gadget as a standalone network: each candidate of ``entry`` pins
+    its port, and every other port except the outputs binds to a message of
+    its own name (``sizes`` sizes the unsized ones)."""
     messages: dict = {}
-    bindings: dict = {}
+    bindings: dict = dict(entry)
     for p in gadget.ports:
-        if p.kind is PortKind.MESSAGE_IN or p.kind is PortKind.CONDITION_IN:
+        if p.kind is not PortKind.SIGNAL_OUT and p.name not in entry:
             messages[p.name] = _port_size(gadget, p, sizes)
             bindings[p.name] = (p.name,)
-    for name, cf in entry.items():
-        bindings[name] = cf
     return compose([("g", gadget, bindings)], messages, k=k)
 
 
@@ -863,39 +861,35 @@ def entropy_accepted_set(gadget: Gadget, family: Sequence, k: int,
     conditions already name its condition ports).  Existential internal
     signals, the parity signal among them, are enumerated one table per
     relabelling class: a ``Determined`` condition keeps its truth value when
-    one variable's values are relabelled one-to-one."""
+    one variable's values are relabelled one-to-one.  A candidate that does
+    not fit its port raises ``ComposeError``, as in ``accepted_set``."""
     entries = _normalize_family(gadget, family)
     accepted = []
     sizes = sizes or {}
     for entry in entries:
-        variables: list = []
+        variables: dict = {}  # name -> alphabet size, one support column each
         for p in gadget.ports:
             if p.kind in (PortKind.MESSAGE_IN, PortKind.CONDITION_IN):
-                variables.append((p.name, resolve_size(_port_size(gadget, p, sizes), k)))
-        extra_seen = {name for name, _ in variables}
-        for cf in entry.values():
+                variables[p.name] = resolve_size(_port_size(gadget, p, sizes), k)
+        for port_name, cf in entry.items():
             for lb, sz in zip(cf.inputs, cf.input_sizes):
-                if lb not in extra_seen:
+                if lb not in variables:
                     if sz is None:
-                        raise ValueError(f"candidate input {lb!r} has no size")
-                    variables.append((lb, resolve_size(sz, k)))
-                    extra_seen.add(lb)
-        names = [n for n, _ in variables]
-        rows = [list(t) for t in itertools.product(*(range(s) for _, s in variables))]
+                        raise ComposeError(f"{gadget.name}.{port_name}: candidate input {lb!r} has no size")
+                    variables[lb] = resolve_size(sz, k)
+        names = list(variables)
+        rows = [list(t) for t in itertools.product(*(range(s) for s in variables.values()))]
         for port_name, cf in sorted(entry.items()):
-            size = resolve_size(gadget.port(port_name).size, k)
-            if cf.size != size:
-                raise ValueError(f"candidate for {port_name} has size {cf.size}, port has {size}")
+            where = f"{gadget.name}.{port_name}"
+            port = gadget.port(port_name)
+            domain = cf.inputs if port.kind is PortKind.SIGNAL_IN else _output_domain(where, gadget, port_name)
+            _candidate_values(where, cf, resolve_size(port.size, k), {lb: variables[lb] for lb in domain})
             cols = [names.index(lb) for lb in cf.inputs]
-            values = [cf.table[tuple(row[c] for c in cols)] for row in rows]
-            if not all(0 <= v < size for v in values):
-                break  # candidate out of range: reject
-            for row, v in zip(rows, values):
-                row.append(v)
+            for row in rows:
+                row.append(cf.table[tuple(row[c] for c in cols)])
             names.append(port_name)
-        else:
-            if _conditions_hold(gadget.spec, names, rows):
-                accepted.append(entry)
+        if _conditions_hold(gadget.spec, names, rows):
+            accepted.append(entry)
     return accepted
 
 
@@ -984,8 +978,6 @@ def catalog() -> dict:
 
 
 def gadget_to_json(gadget: Gadget) -> dict:
-    from .model import to_json_dict
-
     spec = gadget.spec
     return {
         "name": gadget.name,
@@ -1001,5 +993,4 @@ def gadget_to_json(gadget: Gadget) -> dict:
             {"name": e.name, "inputs": list(e.inputs), "size": e.size} for e in spec.existentials
         ],
         "conditioned_on": [p.name for p in gadget.ports if p.kind is PortKind.CONDITION_IN],
-        "fragment": to_json_dict(gadget.fragment_network()),
     }

@@ -226,9 +226,14 @@ def instance_from_json(text: str) -> IndexInstance:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError("instance: expected a JSON object")
     for key in ("messages", "a", "b", "clients"):
         if key not in doc:
             raise FormatError(f"instance: missing field {key!r}")
+    for key in ("messages", "clients"):
+        if not isinstance(doc[key], list):
+            raise FormatError(f"{key}: expected a list")
     messages = []
     for i, m in enumerate(doc["messages"]):
         if m is None:
@@ -241,6 +246,9 @@ def instance_from_json(text: str) -> IndexInstance:
     for i, c in enumerate(doc["clients"]):
         if not isinstance(c, dict) or "has" not in c or "wants" not in c:
             raise FormatError(f"clients[{i}]: expected object with 'has' and 'wants'")
+        for key in ("has", "wants"):
+            if not isinstance(c[key], list) or not all(isinstance(j, int) and not isinstance(j, bool) for j in c[key]):
+                raise FormatError(f"clients[{i}].{key}: expected a list of message indices")
         clients.append(Client(frozenset(c["has"]), frozenset(c["wants"])))
     try:
         return IndexInstance(tuple(messages), doc["a"], doc["b"], tuple(clients))

@@ -9,6 +9,7 @@ encoding tables of their own.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
@@ -96,9 +97,7 @@ def _freeze_index_map(raw: Mapping[str, Iterable[int]]) -> dict:
 class Network:
     """Immutable network.  Messages are 1-indexed; ``sources[v]``/``demands[v]``
     are sets of message indices.  Parallel edges are allowed (canonicalize
-    removes them).  ``unlimited`` is a constructor-level annotation naming
-    edges whose size is "large enough for anything"; canonicalize materializes
-    them into sized bundles.
+    removes them).
     """
 
     nodes: tuple
@@ -107,7 +106,6 @@ class Network:
     sources: Mapping[str, frozenset]
     demands: Mapping[str, frozenset]
     broadcast: frozenset = frozenset()
-    unlimited: frozenset = frozenset()
 
     _in: dict = field(init=False, repr=False, compare=False)
     _out: dict = field(init=False, repr=False, compare=False)
@@ -119,7 +117,6 @@ class Network:
         object.__setattr__(self, "sources", _freeze_index_map(self.sources))
         object.__setattr__(self, "demands", _freeze_index_map(self.demands))
         object.__setattr__(self, "broadcast", frozenset(self.broadcast))
-        object.__setattr__(self, "unlimited", frozenset(self.unlimited))
         inn: dict = {v: [] for v in self.nodes}
         out: dict = {v: [] for v in self.nodes}
         for e in self.edges:
@@ -188,24 +185,9 @@ def validate(net: Network) -> ValidationReport:
             for i in idxs:
                 if not 1 <= i <= l:
                     bad.append(("message-index", f"{label}[{v}]={i}"))
-    for eid in net.unlimited:
-        if eid not in set(ids):
-            bad.append(("unlimited-unknown", eid))
-    # acyclicity via Kahn on the (possibly multi-) graph
     if not any(rule == "endpoint" or rule == "cycle" for rule, _ in bad):
-        indeg = {v: 0 for v in net.nodes}
-        for e in net.edges:
-            indeg[e.head] += 1
-        queue = [v for v in net.nodes if indeg[v] == 0]
-        seen = 0
-        while queue:
-            v = queue.pop()
-            seen += 1
-            for e in net.out_edges(v):
-                indeg[e.head] -= 1
-                if indeg[e.head] == 0:
-                    queue.append(e.head)
-        if seen != len(net.nodes):
+        order, indeg = _kahn(net)
+        if len(order) != len(net.nodes):
             bad.append(("cycle", ",".join(sorted(v for v in net.nodes if indeg[v] > 0))))
     for v in sorted(net.broadcast):
         if v not in nodeset:
@@ -224,14 +206,13 @@ def validate(net: Network) -> ValidationReport:
     return _make_report(bad)
 
 
-def topo_order(net: Network) -> tuple:
-    """Deterministic topological order (ties broken by node id)."""
-    import heapq
-
+def _kahn(net: Network) -> tuple:
+    """Kahn's topological sort of the (multi-)graph, ties broken by node id:
+    the order of the nodes it reaches, and each node's in-degree left over,
+    positive exactly at the nodes on or downstream of a cycle.  Every edge
+    endpoint must be a node."""
     indeg = {v: 0 for v in net.nodes}
     for e in net.edges:
-        if e.head not in indeg or e.tail not in indeg:
-            raise InvalidNetwork(f"endpoint not declared: {e.id}")
         indeg[e.head] += 1
     heap = [v for v in net.nodes if indeg[v] == 0]
     heapq.heapify(heap)
@@ -243,82 +224,54 @@ def topo_order(net: Network) -> tuple:
             indeg[e.head] -= 1
             if indeg[e.head] == 0:
                 heapq.heappush(heap, e.head)
+    return order, indeg
+
+
+def topo_order(net: Network) -> tuple:
+    """Deterministic topological order (ties broken by node id)."""
+    nodes = set(net.nodes)
+    for e in net.edges:
+        if e.head not in nodes or e.tail not in nodes:
+            raise InvalidNetwork(f"endpoint not declared: {e.id}")
+    order, _ = _kahn(net)
     if len(order) != len(net.nodes):
         raise InvalidNetwork("cycle in edge relation")
     return tuple(order)
 
 
 # ---------------------------------------------------------------------------
-# canonicalize: materialize unlimited edges, then split parallel edges
-
-
-def _bundle_specs(net: Network) -> list:
-    """Sized bundle standing in for one unlimited edge: one fixed edge holding
-    the product of all fixed message sizes, plus one default edge per
-    default-size message."""
-    prod = 1
-    defaults = 0
-    for m in net.messages:
-        if m.is_default:
-            defaults += 1
-        else:
-            prod *= m.value
-    return [SizeSpec(prod)] + [DEFAULT] * defaults
+# canonicalize: split parallel edges
 
 
 def canonicalize(net: Network) -> Network:
-    """Return an equivalent simple network: unlimited edges become sized
-    bundles routed through relay nodes, and parallel edges are split with one
-    relay each.  Solvability at every k is preserved."""
+    """Return an equivalent simple network: every edge that has a parallel
+    twin is split through a broadcast relay of its own.  Solvability at every
+    k is preserved."""
     rep = validate(net)
     if not rep.ok:
         raise InvalidNetwork(f"cannot canonicalize invalid network: {rep.violations}")
     nodes = list(net.nodes)
     broadcast = set(net.broadcast)
-    sources = {v: set(s) for v, s in net.sources.items()}
-    demands = {v: set(s) for v, s in net.demands.items()}
-    edges: list = []
-    bundle = _bundle_specs(net)
-    for e in net.edges:
-        if e.id not in net.unlimited:
-            edges.append(e)
-            continue
-        tail = e.tail
-        if e.tail in broadcast:
-            # a broadcast node must forward its input verbatim, so give it a
-            # single out-edge of matching spec and split behind a hub node
-            ein = net.in_edges(e.tail)[0].size
-            hub = f"{e.id}~hub"
-            nodes.append(hub)
-            edges.append(Edge(f"{e.id}~h", e.tail, hub, ein))
-            tail = hub
-        for i, spec in enumerate(bundle):
-            relay = f"{e.id}~b{i}"
-            nodes.append(relay)
-            broadcast.add(relay)
-            edges.append(Edge(f"{e.id}~b{i}i", tail, relay, spec))
-            edges.append(Edge(f"{e.id}~b{i}o", relay, e.head, spec))
     groups: dict = {}
-    for e in edges:
+    for e in net.edges:
         groups.setdefault((e.tail, e.head), []).append(e)
-    final: list = []
-    for e in edges:
+    edges: list = []
+    for e in net.edges:
         if len(groups[(e.tail, e.head)]) == 1:
-            final.append(e)
+            edges.append(e)
             continue
         relay = f"{e.id}~relay"
         nodes.append(relay)
         broadcast.add(relay)
-        final.append(Edge(f"{e.id}~in", e.tail, relay, e.size))
-        final.append(Edge(f"{e.id}~out", relay, e.head, e.size))
+        edges.append(Edge(f"{e.id}~in", e.tail, relay, e.size))
+        edges.append(Edge(f"{e.id}~out", relay, e.head, e.size))
     return Network(
         nodes=tuple(nodes),
-        edges=tuple(final),
+        edges=tuple(edges),
         messages=net.messages,
-        sources=sources,
-        demands=demands,
+        sources=net.sources,
+        demands=net.demands,
         broadcast=frozenset(broadcast),
-        unlimited=frozenset(),
     )
 
 
@@ -327,8 +280,6 @@ def canonicalize(net: Network) -> Network:
 
 
 def to_json_dict(net: Network) -> dict:
-    if net.unlimited:
-        raise ValueError("cannot serialize a network with unlimited edge annotations; canonicalize first")
     return {
         "version": 1,
         "nodes": [{"id": v, "broadcast": v in net.broadcast} for v in sorted(net.nodes)],
@@ -356,6 +307,13 @@ def _require(doc: Mapping, key: str, where: str = "document") -> object:
     return doc[key]
 
 
+def _require_list(doc: Mapping, key: str) -> list:
+    raw = _require(doc, key)
+    if not isinstance(raw, list):
+        raise FormatError(f"{key}: expected a list")
+    return raw
+
+
 def deserialize(text: str) -> Network:
     try:
         doc = json.loads(text)
@@ -366,7 +324,7 @@ def deserialize(text: str) -> Network:
     version = _require(doc, "version")
     if version != 1:
         raise FormatError(f"version: unsupported {version!r}")
-    raw_nodes = _require(doc, "nodes")
+    raw_nodes = _require_list(doc, "nodes")
     nodes, broadcast = [], set()
     for i, nd in enumerate(raw_nodes):
         where = f"nodes[{i}]"
@@ -379,7 +337,7 @@ def deserialize(text: str) -> Network:
         if _require(nd, "broadcast", where):
             broadcast.add(nid)
     edges = []
-    for i, ed in enumerate(_require(doc, "edges")):
+    for i, ed in enumerate(_require_list(doc, "edges")):
         where = f"edges[{i}]"
         if not isinstance(ed, dict):
             raise FormatError(f"{where}: expected an object")
@@ -391,7 +349,7 @@ def deserialize(text: str) -> Network:
                 size=size_from_json(_require(ed, "size", where), where),
             )
         )
-    messages = [size_from_json(m, f"messages[{i}]") for i, m in enumerate(_require(doc, "messages"))]
+    messages = [size_from_json(m, f"messages[{i}]") for i, m in enumerate(_require_list(doc, "messages"))]
     def load_map(key: str) -> dict:
         raw = _require(doc, key)
         if not isinstance(raw, dict):
@@ -438,8 +396,6 @@ def to_dot(net: Network) -> str:
         lines.append(f'  "{v}"{suffix};')
     for e in sorted(net.edges, key=lambda e: e.id):
         size = "k" if e.size.is_default else str(e.size.value)
-        if e.id in net.unlimited:
-            size = "unlimited"
         lines.append(f'  "{e.tail}" -> "{e.head}" [label="{size}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

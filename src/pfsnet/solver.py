@@ -260,8 +260,6 @@ class _Search:
         rep = validate(net)
         if not rep.ok:
             raise InvalidNetwork(f"invalid network: {rep.violations}")
-        if net.unlimited:
-            raise ValueError("network has unlimited edge annotations; canonicalize first")
         if k < 1:
             raise ValueError("k must be >= 1")
         self.opts = opts

@@ -210,25 +210,29 @@ def torus_bruteforce(
     for kind, cells, cs in _constraints(program, width, height):
         checks_at[max(index[c] for c in cells)].append((kind, cells, cs))
     grid = [[0] * width for _ in range(height)]
-
-    def dfs(i: int) -> bool:
-        if i == len(order):
-            return True
+    # depth-first over the cells without recursion, which would nest one call
+    # per cell: grid holds the color last tried at each cell up to i (0 before
+    # the first), so backtracking resumes with the next color
+    i = 0
+    while 0 <= i < len(order):
         x, y = order[i]
-        for color in range(1, program.n_colors + 1):
+        color = grid[y][x] + 1
+        while color <= program.n_colors:
             grid[y][x] = color
             if all(
                 _satisfied(kind, [grid[cy][cx] for cx, cy in cells], cs)
                 for kind, cells, cs in checks_at[i]
             ):
-                if dfs(i + 1):
-                    return True
-        grid[y][x] = 0
-        return False
-
-    if dfs(0):
-        return TorusColoring(width, height, [tuple(row) for row in grid])
-    return None
+                break
+            color += 1
+        if color <= program.n_colors:
+            i += 1
+        else:
+            grid[y][x] = 0
+            i -= 1
+    if i < 0:
+        return None
+    return TorusColoring(width, height, [tuple(row) for row in grid])
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +314,17 @@ def program_from_json(text: str) -> ConditionProgram:
         raise FormatError(f"line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict) or "colors" not in doc or "conditions" not in doc:
         raise FormatError("program: expected object with 'colors' and 'conditions'")
+    if not isinstance(doc["conditions"], list):
+        raise FormatError("conditions: expected a list")
     conds = []
     for i, cd in enumerate(doc["conditions"]):
         where = f"conditions[{i}]"
+        if not isinstance(cd, dict):
+            raise FormatError(f"{where}: expected an object")
         kind = cd.get("type")
         cs = cd.get("set")
-        if not isinstance(cs, list):
-            raise FormatError(f"{where}: missing color set")
+        if not isinstance(cs, list) or not all(isinstance(c, int) and not isinstance(c, bool) for c in cs):
+            raise FormatError(f"{where}: expected a color set (list of ints)")
         if kind == "edge_eq":
             conds.append(EdgeEq(cd.get("orientation", ""), frozenset(cs)))
         elif kind == "edge_or":

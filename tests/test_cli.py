@@ -87,22 +87,32 @@ def test_bad_inputs(capsys, tmp_path):
 @pytest.fixture
 def input_files(butterfly_file, tmp_path):
     """Paths by name: a good network, instance and program, and the bad
-    inputs (a cyclic network, a theta of the wrong width, two candidate
-    families that do not parse or do not fit xor)."""
+    inputs (a cyclic network, a network and an instance with a number where
+    a list belongs, programs whose conditions are not a list of objects, a
+    theta of the wrong width, candidate families that do not parse or do not
+    fit xor)."""
     cyclic = {"version": 1,
               "nodes": [{"id": "a", "broadcast": False}, {"id": "b", "broadcast": False}],
               "edges": [{"id": "1", "tail": "a", "head": "b", "size": None},
                         {"id": "2", "tail": "b", "head": "a", "size": None}],
               "messages": [None], "sources": {"a": [1]}, "demands": {"b": [1]}}
     candidate = json.loads(families.family_to_json(families.xor_family()[:1]))[0]
+    with open(butterfly_file, encoding="utf-8") as fh:
+        net = json.load(fh)
+    instance = {"messages": [2, None], "a": 1, "b": 1, "clients": [{"has": [1], "wants": [2]}]}
     docs = {
         "cyclic": json.dumps(cyclic),
-        "instance": json.dumps({"messages": [2, None], "a": 1, "b": 1,
-                                "clients": [{"has": [1], "wants": [2]}]}),
+        "instance": json.dumps(instance),
+        "instance_has_int": json.dumps(dict(instance, clients=[{"has": 5, "wants": [2]}])),
+        "net_nodes_int": json.dumps(dict(net, nodes=5)),
+        "net_messages_int": json.dumps(dict(net, messages=5)),
         "program": tiling.program_to_json(tiling.ConditionProgram(2, ())),
+        "program_conditions_str": json.dumps({"colors": 2, "conditions": "x"}),
+        "program_conditions_int": json.dumps({"colors": 2, "conditions": [1]}),
         "theta": "[[1, 0, 0], [0, 1, 0]]",
         "family_no_inputs": json.dumps([{k: v for k, v in candidate.items() if k != "inputs"}]),
         "family_wrong_size": json.dumps([dict(candidate, size=3)]),
+        "family_str_values": json.dumps([dict(candidate, values=["0"] * len(candidate["values"]))]),
     }
     paths = {"net": butterfly_file}
     for name, text in docs.items():
@@ -125,10 +135,18 @@ def input_files(butterfly_file, tmp_path):
     ["gadget-build", "set", "--n", "2", "--theta", "{theta}"],
     ["verify-checker", "xor", "--k", "2", "--family", "{family_no_inputs}"],
     ["verify-checker", "xor", "--k", "2", "--family", "{family_wrong_size}"],
+    ["verify-checker", "xor", "--k", "2", "--family", "{family_str_values}"],
     ["solve", "{net}", "--k", "2", "--budget", "-1"],
     ["solve", "{net}", "--k", "2", "--jobs", "2"],
     ["sweep", "{net}", "--k-max", "2", "--jobs", "2"],
     ["solve", "{net}", "--k", "2", "--deterministic"],
+    ["torus", "{program_conditions_str}", "--width", "2", "--height", "2"],
+    ["torus", "{program_conditions_int}", "--width", "2", "--height", "2"],
+    ["index", "{instance_has_int}", "--k", "1"],
+    ["solve", "{net_nodes_int}", "--k", "1"],
+    ["solve", "{net_messages_int}", "--k", "1"],
+    ["index", "{instance}", "--k", "1", "--cap", "-1"],
+    ["torus", "{program}", "--width", "2", "--height", "2", "--cap", "-1"],
 ], ids=lambda argv: "-".join(a.strip("{}-") for a in argv))
 def test_input_errors_exit_3(capsys, input_files, argv):
     assert main([a.format(**input_files) for a in argv]) == 3
@@ -239,6 +257,12 @@ def test_reduce_and_torus(capsys, tmp_path):
     assert code == 1 and doc["witness"] is None
     code, doc = run_json(capsys, ["torus", str(cpath), "--width", "10", "--height", "10"])
     assert code == 2
+
+
+def test_torus_large_grid(capsys, input_files):
+    code, doc = run_json(capsys, ["torus", input_files["program"], "--width", "40", "--height", "40",
+                                  "--cap", "1600"])
+    assert code == 0 and doc["witness"] == [[1] * 40] * 40
 
 
 def test_index(capsys, tmp_path):

@@ -33,7 +33,8 @@ ALL_CONSTRUCTORS = [
 @pytest.mark.parametrize("ctor", ALL_CONSTRUCTORS)
 def test_fragments_validate(ctor):
     g = ctor()
-    assert validate(g.fragment_network()).ok
+    sizes = {p.name: 2 for p in g.ports if p.size is None}
+    assert validate(G._embedding(g, {}, None, sizes).net).ok
     # every variable the derived spec names is a port or an existential
     spec = g.spec
     cond_ports = {p.name for p in g.ports if p.kind is G.PortKind.CONDITION_IN}
@@ -408,14 +409,31 @@ def test_accepted_set_empty_family():
     assert G.entropy_accepted_set(G.xor_checker(), [], 2) == []
 
 
+PARITY = {(a, b): a ^ b for a in (0, 1) for b in (0, 1)}
+
+
+@pytest.mark.parametrize("ctor, entry", [
+    (G.xor_checker, {"Y": G.CandidateFunction("Y", ("M1", "M2"), dict.fromkeys(PARITY, 5), 2)}),
+    (G.xor_checker, {"Y": G.CandidateFunction("Y", ("M1", "M2"),
+                                              {key: v for key, v in PARITY.items() if key != (1, 1)}, 2)}),
+    (G.xor_checker, {"Y": G.CandidateFunction("Y", ("M1", "M2"), PARITY, 2),
+                     "Q": G.CandidateFunction("Q", ("M1", "M2"), PARITY, 2)}),
+    (G.xor_checker, {"Y": G.CandidateFunction("Y", ("M1", "M2"), PARITY, 3)}),
+    (G.xor_gate, {"Y": G.CandidateFunction("Y", ("M1",), {(0,): 0, (1,): 1}, 2)}),
+], ids=["value-out-of-range", "missing-entry", "unknown-port", "wrong-size", "gate-output-domain"])
+def test_both_oracles_refuse_malformed_candidates(ctor, entry):
+    for oracle in (G.accepted_set, G.entropy_accepted_set):
+        with pytest.raises(G.ComposeError):
+            oracle(ctor(), [entry], 2)
+
+
 def test_gadget_catalog_and_json():
     cat = G.catalog()
     assert {"xor", "tristate", "bstate", "switch", "cycles", "set",
             "virtual-eq", "virtual-or"} <= set(cat)
     doc = G.gadget_to_json(G.xor_checker())
     assert doc["name"] == "xor_checker"
-    assert {p["name"] for p in doc["ports"]} == {"M1", "M2", "Y"}
-    assert doc["fragment"]["version"] == 1
+    assert [(p["name"], p["size"]) for p in doc["ports"]] == [("M1", 2), ("M2", 2), ("Y", 2)]
     doc2 = G.gadget_to_json(G.cond_virtual_or_checker(2, 2))
     assert doc2["conditioned_on"] == ["W1"]
 

@@ -93,6 +93,17 @@ def test_topo_order_chain_and_diamond():
         topo_order(cyc)
 
 
+def test_cycle_detail_names_cycle_and_downstream_nodes():
+    # s feeds the cycle a -> b -> c -> a, which feeds d -> e; the detail lists
+    # every node Kahn's pass cannot reach, in node order
+    arcs = [("s", "a"), ("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"), ("d", "e")]
+    net = Network(("e", "d", "c", "b", "a", "s"),
+                  tuple(Edge(f"{t}{h}", t, h, DEFAULT) for t, h in arcs), (), {}, {})
+    assert validate(net).violations == (("cycle", "a,b,c,d,e"),)
+    with pytest.raises(InvalidNetwork, match="cycle"):
+        topo_order(net)
+
+
 def test_canonicalize_parallel_edges():
     net = Network(("u", "v"),
                   (Edge("e1", "u", "v", fixed(2)), Edge("e2", "u", "v", fixed(2))),
@@ -112,34 +123,6 @@ def test_canonicalize_fixpoint_and_idempotence(classic_butterfly):
     once = canonicalize(classic_butterfly)
     assert once.edges == classic_butterfly.edges
     assert canonicalize(once) == once
-
-
-def test_canonicalize_unlimited_bundle():
-    # message profile {2, default, default}; the unlimited edge sits behind a
-    # fixed-size feeder so both forms stay exhaustively searchable
-    net = Network(("s", "u", "v"),
-                  (Edge("e0", "s", "u", fixed(2)), Edge("big", "u", "v", DEFAULT)),
-                  (fixed(2), DEFAULT, DEFAULT),
-                  {"s": {1}}, {"v": {1}}, unlimited={"big"})
-    out = canonicalize(net)
-    assert validate(out).ok and not out.unlimited
-    bundle = sorted((e.size.value is not None, e.size.value or 0) for e in out.edges if e.tail == "u")
-    assert bundle == [(False, 0), (False, 0), (True, 2)]  # {default, default, fixed 2}
-    relays = [v for v in out.nodes if v.startswith("big~")]
-    assert len(relays) == 3 and all(v in out.broadcast for v in relays)
-    # equivalence against the single product-size pipe the bundle stands in for
-    for k in (1, 2, 3):
-        big = Network(net.nodes,
-                      (Edge("e0", "s", "u", fixed(2)), Edge("big", "u", "v", fixed(2 * k * k))),
-                      net.messages, net.sources, net.demands)
-        assert solve_at_k(out, k).solvable == solve_at_k(big, k).solvable
-    # a pigeonhole upstream of the unlimited edge survives materialization
-    net2 = Network(net.nodes, net.edges, (fixed(3), DEFAULT, DEFAULT),
-                   {"s": {1}}, {"v": {1}}, unlimited={"big"})
-    out2 = canonicalize(net2)
-    for k in (1, 3):
-        assert not solve_at_k(out2, k).solvable  # size-3 message through the fixed-2 feeder
-
 
 
 def test_canonicalize_rejects_invalid():

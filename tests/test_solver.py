@@ -157,14 +157,11 @@ def test_symmetry_breaking_preserves_status():
             assert with_sb.searched <= without.searched
 
 
-def test_rejects_invalid_and_annotated():
+def test_rejects_invalid():
     cyc = Network(("a", "b"),
                   (Edge("1", "a", "b", DEFAULT), Edge("2", "b", "a", DEFAULT)), (), {}, {})
     with pytest.raises(ValueError):
         solve_at_k(cyc, 1)
-    ann = Network(("a", "b"), (Edge("e", "a", "b", DEFAULT),), (), {}, {}, unlimited={"e"})
-    with pytest.raises(ValueError):
-        solve_at_k(ann, 1)
 
 
 def test_symmetry_suppressed_for_pinned_consumers():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from pfsnet import tiling as T
@@ -61,8 +63,7 @@ def test_reduce_structure():
     fig_program(),
 ], ids=["empty2", "cond2", "empty3", "cond3"])
 def test_reduce_output_is_canonical(program):
-    # reduce emits no parallel edges and no unlimited edges, so it needs no
-    # canonicalize pass
+    # reduce emits no parallel edges, so it needs no canonicalize pass
     net = T.reduce(program)
     assert canonicalize(net) == net
 
@@ -116,6 +117,27 @@ def test_torus_bruteforce_empty_program():
     w = T.torus_bruteforce(T.ConditionProgram(2, ()), 4, 4)
     assert w is not None
     assert all(c == 1 for row in w.grid for c in row)
+
+
+def test_torus_bruteforce_large_grid_without_recursion():
+    w = T.torus_bruteforce(T.ConditionProgram(2, ()), 40, 40, cap=1600)
+    assert w.grid == ((1,) * 40,) * 40
+
+
+@pytest.mark.parametrize("prog", [
+    T.ConditionProgram(2, (T.EdgeOr("h", frozenset({2})),)),
+    T.ConditionProgram(3, (T.EdgeEq("v", frozenset({1})), T.FaceOr("22", frozenset({3})))),
+    T.ConditionProgram(3, (T.EdgeOr("h", frozenset({2, 3})), T.EdgeOr("v", frozenset({1, 3})))),
+], ids=["or-h", "eq-face", "or-hv"])
+def test_torus_bruteforce_returns_lexicographically_first_witness(prog):
+    # reference: every grid in row-major lexicographic order, first valid one
+    first = None
+    for cells in itertools.product(range(1, prog.n_colors + 1), repeat=8):
+        grid = T.TorusColoring(4, 2, [cells[:4], cells[4:]])
+        if T.validate_coloring(prog, grid).ok:
+            first = grid
+            break
+    assert T.torus_bruteforce(prog, 4, 2) == first
 
 
 def test_torus_bruteforce_contradiction():
