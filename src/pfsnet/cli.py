@@ -310,7 +310,11 @@ def _cmd_verify_checker(args) -> int:
 
 def _cmd_reduce(args) -> int:
     program = tiling.program_from_json(_read(args.program))
-    net = tiling.reduce(program)
+    try:
+        net = tiling.reduce(program)
+    except tiling.CapExceeded as exc:
+        _emit({"command": "reduce", "status": "cap-exceeded", "detail": str(exc)})
+        return EXHAUSTED
     _write(args.output, serialize(net))
     if args.output not in (None, "-"):
         switches = {v.split("/")[0] for v in net.nodes if v.startswith("sw")}

@@ -307,6 +307,13 @@ def _require(doc: Mapping, key: str, where: str = "document") -> object:
     return doc[key]
 
 
+def _require_str(doc: Mapping, key: str, where: str) -> str:
+    raw = _require(doc, key, where)
+    if not isinstance(raw, str):
+        raise FormatError(f"{where}.{key}: expected string")
+    return raw
+
+
 def _require_list(doc: Mapping, key: str) -> list:
     raw = _require(doc, key)
     if not isinstance(raw, list):
@@ -330,9 +337,7 @@ def deserialize(text: str) -> Network:
         where = f"nodes[{i}]"
         if not isinstance(nd, dict):
             raise FormatError(f"{where}: expected an object")
-        nid = _require(nd, "id", where)
-        if not isinstance(nid, str):
-            raise FormatError(f"{where}.id: expected string")
+        nid = _require_str(nd, "id", where)
         nodes.append(nid)
         if _require(nd, "broadcast", where):
             broadcast.add(nid)
@@ -343,9 +348,9 @@ def deserialize(text: str) -> Network:
             raise FormatError(f"{where}: expected an object")
         edges.append(
             Edge(
-                id=str(_require(ed, "id", where)),
-                tail=str(_require(ed, "tail", where)),
-                head=str(_require(ed, "head", where)),
+                id=_require_str(ed, "id", where),
+                tail=_require_str(ed, "tail", where),
+                head=_require_str(ed, "head", where),
                 size=size_from_json(_require(ed, "size", where), where),
             )
         )

@@ -1,9 +1,11 @@
 """Exact solvability of a network at a given default size k.
 
 The search assigns encoding tables one entry at a time.  Message tuples are
-taken in order, and each tuple is evaluated along ``edge_eval_order``; an
-entry that a tuple reaches for the first time is a branch point, tried with
-each value (restricted growth in first-reach order under symmetry breaking).
+taken in graded order, by largest value and then lexicographically, so the
+search settles the sub-box {0..j}^n of message values before it reaches any
+value above j.  Each tuple is evaluated along ``edge_eval_order``; an entry
+that a tuple reaches for the first time is a branch point, tried with each
+value (restricted growth in first-reach order under symmetry breaking).
 Entries that no tuple reaches are zero-filled.  Broadcast relays are never
 evaluated, and only edges upstream of a demand are searched.
 
@@ -14,6 +16,17 @@ its still-open upstream nodes and the evaluated edges into them, so tuples
 that agree on that key must agree on the demanded messages.  Decoding tables
 are never searched: they are read off the evaluation once the encodings
 separate every demand.
+
+Backtracking is conflict-directed backjumping (Prosser 1993).  A failed check
+blames the branch points its key's edge values depend on, in its own tuple
+and in the earlier tuple that stored the key: the one that set the entry each
+value was read from, and, recursively, those of the values that indexed that
+entry.  The search jumps back to the newest of them, and an exhausted branch
+point passes the union of its values' conflict sets on in the same way.  An
+empty conflict set proves that the network is unsolvable at k.  A branch
+point whose domain restricted growth capped needs no extra blame:
+relabelling its edge maps any solution that gives it a value above the cap
+onto one that gives it the cap.
 
 ``naive_solve_at_k`` is a deliberately independent oracle that enumerates all
 table combinations with no pruning and no symmetry breaking.
@@ -241,19 +254,20 @@ def _getter(cols: Sequence[int]):
 class _Search:
     """Search over single table entries.
 
-    Message tuples are processed in order, and within one tuple the searched
-    edges are evaluated in ``edge_eval_order``.  An entry that a tuple reaches
-    for the first time is a branch point; entries no tuple reaches are never
-    tried.  A broadcast out-edge is never evaluated: it carries the value of
-    its root, the non-broadcast edge at the head of its relay chain.  Only
-    edges upstream of a demand are searched; the others cannot affect any
-    decoder.
+    Message tuples are processed in graded order, and within one tuple the
+    searched edges are evaluated in ``edge_eval_order``.  An entry that a
+    tuple reaches for the first time is a branch point; entries no tuple
+    reaches are never tried.  A broadcast out-edge is never evaluated: it
+    carries the value of its root, the non-broadcast edge at the head of its
+    relay chain.  Only edges upstream of a demand are searched; the others
+    cannot affect any decoder.
 
     Each tuple's values live in one row: the message values, then one value
     per searched edge.  After position p of a tuple (its first p searched
     edges evaluated) every check scheduled at p reads a key and the demanded
     messages off the row; two tuples with equal keys and different demanded
-    messages refute the branch.
+    messages refute the branch, and the branch points that the key's edge
+    values of both rows depend on take the blame.
     """
 
     def __init__(self, net: Network, k: int, opts: SolveOptions):
@@ -265,7 +279,12 @@ class _Search:
         self.opts = opts
         msg_sizes = [resolve_size(m, k) for m in net.messages]
         n_msgs = len(msg_sizes)
+        # graded order: every tuple of the sub-box {0..j}^n comes before any
+        # tuple with a value above j; the sort is stable, so each grade stays
+        # in lexicographic order
         self.tuples = list(itertools.product(*(range(s) for s in msg_sizes)))
+        if n_msgs:
+            self.tuples.sort(key=max)
         order = edge_eval_order(net)
         self.infeasible = False
         root: dict = {}
@@ -391,84 +410,117 @@ class _Search:
                     earliest[ident] = min(earliest.get(ident, p), p)
         self.checks_at: list = [[] for _ in range(n + 1)]
         for (key, rest), p in earliest.items():
-            self.checks_at[p].append((_getter(key), _getter(rest)))
+            # a failed check blames the frames its key's edge cells depend
+            # on, which a row keeps n_msgs + n columns after the cell (see
+            # ``solutions``)
+            blame = tuple(n_msgs + n + c for c in key if c >= n_msgs)
+            self.checks_at[p].append((_getter(key), _getter(rest), blame))
         self.searched = 0
 
     def solutions(self) -> Iterator[dict]:
         """Depth-first over single entries, with explicit stacks; yields the
         tables (see ``_tables``) once per assignment of the reached entries
-        that satisfies every check."""
+        that satisfies every check.
+
+        Backtracking jumps on conflict sets (see the module docstring).
+        Frames are numbered in creation order and a set of frames is an int
+        bitset.  After a solution every open frame is blamed, so every
+        solution is yielded."""
         if self.infeasible:
             return
         n = len(self.edges)
         T = len(self.tuples)
         base = len(self.tuples[0])  # the number of messages
-        rows = [list(t) + [0] * n for t in self.tuples]
+        width = base + n
+        # a row: the message values and one value per searched edge, then for
+        # each of those width cells the frames its value depends on: the one
+        # that set the entry it read (none for a pinned entry) and those of
+        # the cells that index that entry (none for a message)
+        rows = [list(t) + [0] * (n + width) for t in self.tuples]
         tables = [list(self.pinned[e.id]) if e.id in self.pinned else [-1] * self.dom_size[e.id]
                   for e in self.edges]
+        setter = [[0] * self.dom_size[e.id] for e in self.edges]  # bit of the frame that set an entry
         sizes = [self.size[e.id] for e in self.edges]
         dom_cols, sym = self.dom_cols, self.sym
-        # per check, the demanded messages seen so far under each key
-        checks_at = [[({}, key_of, want_of) for key_of, want_of in at] for at in self.checks_at]
+        # per check, the index of the row that first stored each key
+        checks_at = [[({}, key_of, want_of, blame) for key_of, want_of, blame in at]
+                     for at in self.checks_at]
         budget = self.opts.node_budget
         used = [0] * n  # values in use per edge (restricted growth)
-        frames: list = []  # [tuple, position, entry, value, top, used before, trail mark]
+        frames: list = []  # [tuple, position, entry, value, top, used before, trail mark, blamed]
         trail: list = []  # (seen, key) inserted by the checks, in order
         ti = p = 0
         while True:
             # evaluate forward until a check fails, an entry is reached for
-            # the first time (a new frame), or every tuple has passed
+            # the first time (a new frame), or every tuple has passed; then
+            # conflict is the set of frames to blame
+            conflict = 0
             while ti < T:
                 row = rows[ti]
-                ok = True
-                for seen, key_of, want_of in checks_at[p]:
+                for seen, key_of, want_of, blame in checks_at[p]:
                     key = key_of(row)
                     have = seen.get(key)
                     if have is None:
-                        seen[key] = want_of(row)
+                        seen[key] = ti
                         trail.append((seen, key))
-                    elif have != want_of(row):
-                        ok = False
+                    elif want_of(rows[have]) != want_of(row):
+                        other = rows[have]
+                        for c in blame:
+                            conflict |= row[c] | other[c]
                         break
-                if not ok:
-                    break
-                if p == n:
-                    ti += 1
-                    p = 0
-                    continue
-                d = 0
-                for col, radix in dom_cols[p]:
-                    d = d * radix + row[col]
-                x = tables[p][d]
-                if x < 0:
+                else:
+                    if p == n:
+                        ti += 1
+                        p = 0
+                        continue
+                    d = under = 0
+                    for col, radix in dom_cols[p]:
+                        d = d * radix + row[col]
+                        under |= row[width + col]
+                    x = tables[p][d]
+                    if x >= 0:
+                        row[base + p] = x
+                        row[width + base + p] = setter[p][d] | under
+                        p += 1
+                        continue
+                    # the new frame blames itself, so it takes its first value
+                    conflict = setter[p][d] = 1 << len(frames)
+                    row[width + base + p] = conflict | under
                     top = min(used[p], sizes[p] - 1) if sym[p] else sizes[p] - 1
-                    frames.append([ti, p, d, -1, top, used[p], len(trail)])
-                    break
-                row[base + p] = x
-                p += 1
+                    frames.append([ti, p, d, -1, top, used[p], len(trail), 0])
+                break
             else:
                 yield self._tables(tables)
-            # move the newest frame to its next value, dropping exhausted ones
-            while frames:
-                frame = frames[-1]
-                fti, fp, d, x, top, before, mark = frame
+                conflict = (1 << len(frames)) - 1
+            # jump to the newest blamed frame, dropping the newer ones, and
+            # move it to its next value; an exhausted frame blames what it
+            # collected
+            while conflict:
+                h = conflict.bit_length() - 1
+                while len(frames) > h + 1:
+                    _, fp, d, _, _, before, _, _ = frames.pop()
+                    tables[fp][d] = -1
+                    used[fp] = before
+                frame = frames[h]
+                fti, fp, d, x, top, before, mark, blamed = frame
+                blamed |= conflict ^ (1 << h)
+                x += 1
+                if x > top:
+                    conflict = blamed  # the next jump drops the frame
+                    continue
                 while len(trail) > mark:
                     seen, key = trail.pop()
                     del seen[key]
-                x += 1
-                if x <= top:
-                    if budget is not None and self.searched >= budget:
-                        raise _BudgetHit()
-                    self.searched += 1
-                    frame[3] = x
-                    tables[fp][d] = x
-                    used[fp] = max(before, x + 1)
-                    rows[fti][base + fp] = x
-                    ti, p = fti, fp + 1
-                    break
-                tables[fp][d] = -1
-                used[fp] = before
-                frames.pop()
+                if budget is not None and self.searched >= budget:
+                    raise _BudgetHit()
+                self.searched += 1
+                frame[3] = x
+                frame[7] = blamed
+                tables[fp][d] = x
+                used[fp] = max(before, x + 1)
+                rows[fti][base + fp] = x
+                ti, p = fti, fp + 1
+                break
             else:
                 return
 

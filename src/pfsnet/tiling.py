@@ -31,6 +31,11 @@ class CapExceeded(Exception):
     """The requested exhaustive search exceeds the configured size cap."""
 
 
+# reduce builds one switch per nonempty proper colour subset, 2^N - 2 of
+# them; 8 colours build in under a second, and each colour more takes
+# about 3.5 times as long
+MAX_REDUCE_COLORS = 8
+
 HORIZONTAL = "h"
 VERTICAL = "v"
 FACE_11 = "11"
@@ -245,8 +250,11 @@ def reduce(program: ConditionProgram) -> Network:
     Messages are M0, M1, U, V (size 2) and X1, Y1 (default size); the select
     signal of every conditional component is (X1, U, Y1, V).  Face conditions
     of type 22 are conditioned on the cycle-gate outputs (X2, Y2), which carry
-    the same information as selecting by them would.
+    the same information as selecting by them would.  Programs with more
+    than ``MAX_REDUCE_COLORS`` colours raise CapExceeded.
     """
+    if program.n_colors > MAX_REDUCE_COLORS:
+        raise CapExceeded(f"{program.n_colors} colors exceed the reduce cap of {MAX_REDUCE_COLORS}")
     n = 2 ** program.n_colors - 2
     subsets = color_subsets(program.n_colors)
     switch_of = {s: i for i, s in enumerate(subsets, start=1)}

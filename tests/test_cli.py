@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -55,6 +56,14 @@ def test_solve_exit_codes(capsys, butterfly_file, pigeonhole_file):
     assert code == 2 and doc["status"] == "budget-exhausted"
 
 
+def test_classic_butterfly_file_solved_at_k5(capsys, classic_butterfly):
+    # the file CI solves through the installed entry point
+    path = pathlib.Path(__file__).parent / "data" / "butterfly.json"
+    assert path.read_text() == serialize(classic_butterfly)
+    code, doc = run_json(capsys, ["solve", str(path), "--k", "5", "--budget", "200000"])
+    assert code == 0 and doc["status"] == "solvable"
+
+
 def test_sweep(capsys, butterfly_file, pigeonhole_file):
     code, doc = run_json(capsys, ["sweep", butterfly_file, "--k-max", "4"])
     assert code == 0 and doc["found"]["k"] == 1
@@ -106,6 +115,7 @@ def input_files(butterfly_file, tmp_path):
         "instance_has_int": json.dumps(dict(instance, clients=[{"has": 5, "wants": [2]}])),
         "net_nodes_int": json.dumps(dict(net, nodes=5)),
         "net_messages_int": json.dumps(dict(net, messages=5)),
+        "net_edge_id_obj": json.dumps(dict(net, edges=[dict(net["edges"][0], id={"x": 1}), *net["edges"][1:]])),
         "program": tiling.program_to_json(tiling.ConditionProgram(2, ())),
         "program_conditions_str": json.dumps({"colors": 2, "conditions": "x"}),
         "program_conditions_int": json.dumps({"colors": 2, "conditions": [1]}),
@@ -145,6 +155,7 @@ def input_files(butterfly_file, tmp_path):
     ["index", "{instance_has_int}", "--k", "1"],
     ["solve", "{net_nodes_int}", "--k", "1"],
     ["solve", "{net_messages_int}", "--k", "1"],
+    ["solve", "{net_edge_id_obj}", "--k", "1"],
     ["index", "{instance}", "--k", "1", "--cap", "-1"],
     ["torus", "{program}", "--width", "2", "--height", "2", "--cap", "-1"],
 ], ids=lambda argv: "-".join(a.strip("{}-") for a in argv))
@@ -257,6 +268,12 @@ def test_reduce_and_torus(capsys, tmp_path):
     assert code == 1 and doc["witness"] is None
     code, doc = run_json(capsys, ["torus", str(cpath), "--width", "10", "--height", "10"])
     assert code == 2
+    # reduce builds 2^N - 2 switches, so 9 colours exit 2 instead of hanging
+    wide = tmp_path / "wide.json"
+    wide.write_text(tiling.program_to_json(tiling.ConditionProgram(9, ())))
+    code, doc = run_json(capsys, ["reduce", str(wide), "-o", str(tmp_path / "wide-net.json")])
+    assert code == 2 and doc["status"] == "cap-exceeded"
+    assert not (tmp_path / "wide-net.json").exists()
 
 
 def test_torus_large_grid(capsys, input_files):

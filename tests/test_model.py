@@ -151,6 +151,11 @@ def test_deserialize_errors():
         deserialize(json.dumps(doc))
     with pytest.raises(FormatError, match="line 1"):
         deserialize("{not json")
+    # ids are strings, as node ids are, never converted
+    for field, bad in (("id", {"x": 1}), ("tail", 1), ("head", None)):
+        edge = dict(doc["edges"][0], size=2, **{field: bad})
+        with pytest.raises(FormatError, match=rf"edges\[0\]\.{field}: expected string"):
+            deserialize(json.dumps(dict(doc, edges=[edge])))
 
 
 def test_to_dot(butterfly):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from typing import Optional
 
 import pytest
 
@@ -195,9 +196,11 @@ def test_multigraph_supported():
     assert not solve_at_k(one, 1).solvable
 
 
-def random_pruning_net(rng: random.Random) -> Network:
+def random_pruning_net(rng: random.Random, edge_sizes=(fixed(2), fixed(3), DEFAULT),
+                       naive_cap: Optional[int] = 20_000) -> Network:
     """Small random instance with broadcast relays, mixed fixed and default
-    sizes and up to three demand nodes, cheap enough for the naive oracle."""
+    sizes and up to three demand nodes; with ``naive_cap`` set, cheap enough
+    for the naive oracle."""
     size_pool = [fixed(2), fixed(3), DEFAULT]
     while True:
         n_nodes = rng.randint(3, 5)
@@ -207,7 +210,7 @@ def random_pruning_net(rng: random.Random) -> Network:
         edges = []
         for i in range(rng.randint(2, 5)):
             a, b = sorted(rng.sample(range(n_nodes), 2))
-            edges.append(Edge(f"e{i}", f"n{a}", f"n{b}", rng.choice(size_pool)))
+            edges.append(Edge(f"e{i}", f"n{a}", f"n{b}", rng.choice(edge_sizes)))
         sources: dict = {}
         for m in range(1, n_msgs + 1):
             sources.setdefault(f"n{rng.randrange(n_nodes)}", set()).add(m)
@@ -218,7 +221,7 @@ def random_pruning_net(rng: random.Random) -> Network:
         demands = {v: set(rng.sample(range(1, n_msgs + 1), rng.randint(1, n_msgs)))
                    for v in rng.sample(heads, min(len(heads), rng.randint(1, 3)))}
         net = Network(nodes, tuple(edges), messages, sources, demands, broadcast)
-        if validate(net).ok and _naive_cost(net, 2) <= 20_000:
+        if validate(net).ok and (naive_cap is None or _naive_cost(net, 2) <= naive_cap):
             return net
 
 
@@ -255,10 +258,34 @@ def test_pruning_agrees_with_naive_oracle():
     assert len(kinds) == 16
 
 
-@pytest.mark.parametrize("k, trials", [(2, 56), (3, 482), (4, 10_718)])
-def test_butterfly_trial_counts(classic_butterfly, k, trials):
-    out = solve_at_k(classic_butterfly, k)
-    assert out.solvable and out.searched == trials
+def test_symmetry_breaking_needs_no_blame_for_restricted_growth():
+    # a frame whose domain restricted growth capped blames only the frames
+    # its failed checks read, not the earlier frames of its edge that fixed
+    # the cap: relabelling the edge maps any solution above the cap onto
+    # one at the cap.  Were that wrong, the search with symmetry breaking
+    # would prove some solvable network unsolvable.
+    rng = random.Random(20261018)
+    outcomes = set()
+    for trial in range(300):
+        # edges of 3, 4 or k values: at k=3 restricted growth caps the
+        # domain of entries whose edge already has earlier frames
+        net = random_pruning_net(rng, (fixed(3), fixed(4), DEFAULT), naive_cap=None)
+        with_sb = solve_at_k(net, 3, SolveOptions(symmetry_breaking=True, node_budget=100_000))
+        without = solve_at_k(net, 3, SolveOptions(symmetry_breaking=False, node_budget=100_000))
+        assert with_sb.status is not Status.BUDGET_EXHAUSTED, (trial, net)
+        assert with_sb.status == without.status, (trial, net)
+        outcomes.add(with_sb.status)
+    assert outcomes == {Status.SOLVABLE, Status.UNSOLVABLE_AT_K}
+
+
+BUTTERFLY_TRIALS = {2: 47, 3: 199, 4: 1_500, 5: 33_018}
+
+
+@pytest.mark.parametrize("k", sorted(BUTTERFLY_TRIALS))
+def test_butterfly_trial_counts(classic_butterfly, k):
+    out = solve_at_k(classic_butterfly, k, SolveOptions(node_budget=200_000))
+    assert out.solvable and out.searched == BUTTERFLY_TRIALS[k]
+    assert verify_scheme(classic_butterfly, out.scheme).ok
 
 
 def test_reduced_net_trial_counts():

@@ -215,6 +215,25 @@ def test_reduced_net_decided_at_k1_and_k2():
     assert verify_scheme(net, out.scheme).ok
 
 
+# the 12 single conditions of a 2-colour program
+ONE_CONDITIONS = [(kind, where, colour)
+                  for kind, places in ((T.EdgeEq, "hv"), (T.EdgeOr, "hv"), (T.FaceOr, ("11", "22")))
+                  for where in places for colour in (1, 2)]
+
+
+@pytest.mark.parametrize("kind, where, colour", ONE_CONDITIONS,
+                         ids=lambda v: getattr(v, "__name__", str(v)))
+def test_reduced_one_condition_program_agrees_with_torus(kind, where, colour):
+    # the select signal addresses 2k x 2k cells, so k=2 is the 4x4 torus
+    prog = T.ConditionProgram(2, (kind(where, {colour}),))
+    net = T.reduce(prog)
+    out = solve_at_k(net, 2, SolveOptions(node_budget=200_000))
+    assert out.status is not Status.BUDGET_EXHAUSTED
+    assert out.solvable == (T.torus_bruteforce(prog, 4, 4) is not None)
+    if out.solvable:
+        assert verify_scheme(net, out.scheme).ok
+
+
 def test_reduced_empty_3_colour_net_solvable_at_k2():
     net = T.reduce(T.ConditionProgram(3, ()))
     out = solve_at_k(net, 2, SolveOptions(node_budget=20_000))
