@@ -138,6 +138,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("instance")
     sp.add_argument("--k", type=_int_arg(1), required=True)
     sp.add_argument("--cap", type=_int_arg(1), default=4096, help="max message tuples")
+    sp.add_argument("--budget", type=_int_arg(0), default=None, help="coloring-trial cap")
 
     sp = sub.add_parser("export-dot", help="graphviz text for a network file")
     sp.add_argument("net")
@@ -347,9 +348,12 @@ def _cmd_torus(args) -> int:
 def _cmd_index(args) -> int:
     inst = indexcoding.instance_from_json(_read(args.instance))
     try:
-        ok, f = indexcoding.solvable_at_k(inst, args.k, cap=args.cap)
+        ok, f = indexcoding.solvable_at_k(inst, args.k, cap=args.cap, budget=args.budget)
     except indexcoding.CapExceeded as exc:
         _emit({"command": "index", "status": "cap-exceeded", "detail": str(exc)})
+        return EXHAUSTED
+    except BudgetExhausted:
+        _emit({"command": "index", "k": args.k, "status": "budget-exhausted"})
         return EXHAUSTED
     doc = {
         "command": "index",

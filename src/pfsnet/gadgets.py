@@ -866,6 +866,7 @@ def entropy_accepted_set(gadget: Gadget, family: Sequence, k: int,
     entries = _normalize_family(gadget, family)
     accepted = []
     sizes = sizes or {}
+    cache: dict = {}  # existential tables kept by the conditions no candidate changes
     for entry in entries:
         variables: dict = {}  # name -> alphabet size, one support column each
         for p in gadget.ports:
@@ -888,7 +889,7 @@ def entropy_accepted_set(gadget: Gadget, family: Sequence, k: int,
             for row in rows:
                 row.append(cf.table[tuple(row[c] for c in cols)])
             names.append(port_name)
-        if _conditions_hold(gadget.spec, names, rows):
+        if _conditions_hold(gadget.spec, names, rows, list(variables.values()), cache):
             accepted.append(entry)
     return accepted
 
@@ -904,10 +905,38 @@ def _restricted_growth(n: int, size: int) -> list:
     return tables
 
 
-def _filter_existential(ex: ExistentialVar, conds: list, names: list, rows: list) -> list:
+def _filter_existential(ex: ExistentialVar, conds: list, names: list, rows: list,
+                        sizes: list, cache: dict) -> list:
     """One table per relabelling class for one existential, kept when it
     satisfies the conditions involving only that existential, as value rows
-    aligned with ``rows``."""
+    aligned with ``rows``.
+
+    The first ``len(sizes)`` columns of ``rows`` span the full product of
+    alphabets of those sizes.  When the existential reads only such columns,
+    the conditions that read only such columns too keep the same tables
+    whatever the later columns hold: their survivors are computed once per
+    ``cache``, on the product of the columns they read, and only the other
+    conditions are checked on ``rows``."""
+    free = dict(zip(names, sizes))
+    tables = None
+    if set(ex.inputs) <= free.keys():
+        early = tuple(c for c in conds if _cond_vars(c) - {ex.name} <= free.keys())
+        if early:
+            conds = [c for c in conds if c not in early]
+            read = sorted(set(ex.inputs).union(*map(_cond_vars, early)) - {ex.name})
+            key = (ex, early, tuple(free[v] for v in read))
+            if key not in cache:
+                product = list(itertools.product(*(range(free[v]) for v in read)))
+                cache[key] = [values for values, _ in _survivors(ex, early, read, product)]
+            tables = cache[key]
+    return [col for _, col in _survivors(ex, conds, names, rows, tables)]
+
+
+def _survivors(ex: ExistentialVar, conds: list, names: list, rows: list, tables=None):
+    """(table, column) for each of ``tables`` (by default every restricted
+    growth table) that satisfies ``conds``, where a table lists the
+    existential's values over its sorted input domain and the column aligns
+    them with ``rows``."""
     in_cols = [names.index(lb) for lb in ex.inputs]
     ref = sorted({v for c in conds for v in _cond_vars(c)} - {ex.name})
     ref_cols = [names.index(v) for v in ref]
@@ -915,16 +944,15 @@ def _filter_existential(ex: ExistentialVar, conds: list, names: list, rows: list
     refs = [tuple(r[c] for c in ref_cols) for r in rows]
     domain = sorted(set(keys))
     cols = _cols(conds, ref + [ex.name])
-    survivors = []
-    for values in _restricted_growth(len(domain), ex.size):
+    for values in _restricted_growth(len(domain), ex.size) if tables is None else tables:
         lut = dict(zip(domain, values))
         col = [lut[key] for key in keys]
         if _holds(cols, {rv + (cv,) for rv, cv in zip(refs, col)}):
-            survivors.append(col)
-    return survivors
+            yield values, col
 
 
-def _conditions_hold(spec: ConditionSpec, names: list, rows: list) -> bool:
+def _conditions_hold(spec: ConditionSpec, names: list, rows: list, sizes: list,
+                     cache: dict) -> bool:
     available = set(names)
     ready = [c for c in spec.conditions if _cond_vars(c) <= available]
     pending = [c for c in spec.conditions if not _cond_vars(c) <= available]
@@ -944,7 +972,8 @@ def _conditions_hold(spec: ConditionSpec, names: list, rows: list) -> bool:
             unary[touched.pop()].append(c)
         else:
             joint.append(c)
-    choices = [_filter_existential(ex, unary[ex.name], names, rows) for ex in spec.existentials]
+    choices = [_filter_existential(ex, unary[ex.name], names, rows, sizes, cache)
+               for ex in spec.existentials]
     if any(not ch for ch in choices):
         return False
     if not joint:

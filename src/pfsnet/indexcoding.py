@@ -5,7 +5,9 @@ A server broadcasts one symbol X = f(M1..Ml) with |X| <= a * k^b; client j
 knows M_{A_j} and must decode M_{B_j} from (X, M_{A_j}).  Two message tuples
 *confuse* some client when they agree on the client's side information but
 disagree on its demand; valid encodings are exactly the proper colorings of
-the confusion graph with at most a * k^b colors.
+the confusion graph with at most a * k^b colors.  The graph's adjacency and
+the coloring search's color classes are int bitsets over the tuple indices,
+and a trial budget turns a search that runs too long into ``BudgetExhausted``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .model import DEFAULT, FormatError, fixed, resolve_size
+from .solver import BudgetExhausted
 
 
 class CapExceeded(Exception):
@@ -59,14 +62,14 @@ class IndexInstance:
 @dataclass(frozen=True)
 class ConfusionGraph:
     vertices: tuple  # message tuples
-    adjacency: tuple  # index-based neighbor frozensets
+    adjacency: tuple  # per vertex, an int bitset: bit j set iff j is a neighbour
 
     @property
     def n(self) -> int:
         return len(self.vertices)
 
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
+        return sum(a.bit_count() for a in self.adjacency) // 2
 
 
 def confusion_graph(inst: IndexInstance, k: int, cap: int = 4096) -> ConfusionGraph:
@@ -76,7 +79,8 @@ def confusion_graph(inst: IndexInstance, k: int, cap: int = 4096) -> ConfusionGr
     Under one client the tuples with equal side information form a group and
     the tuples of a group with equal demand form a part; the client adds the
     complete multipartite graph on each group's parts.  So each tuple gains
-    its group minus its own part, and no pair is tested on its own."""
+    its group minus its own part, one OR of int bitsets, and no pair is
+    tested on its own."""
     sizes = [resolve_size(m, k) for m in inst.messages]
     total = 1
     for s in sizes:
@@ -84,7 +88,7 @@ def confusion_graph(inst: IndexInstance, k: int, cap: int = 4096) -> ConfusionGr
     if total > cap:
         raise CapExceeded(f"{total} message tuples exceed cap of {cap}")
     vertices = list(itertools.product(*(range(s) for s in sizes)))
-    adj: list = [set() for _ in vertices]
+    adj = [0] * len(vertices)
     for c in inst.clients:
         if not c.wants:
             continue
@@ -93,12 +97,13 @@ def confusion_graph(inst: IndexInstance, k: int, cap: int = 4096) -> ConfusionGr
         for i, v in enumerate(vertices):
             groups.setdefault(side(v), {}).setdefault(demand(v), []).append(i)
         for parts in groups.values():
-            members = set().union(*parts.values())
-            for part in parts.values():
-                others = members.difference(part)
+            masks = [sum(1 << i for i in part) for part in parts.values()]
+            members = sum(masks)  # the parts are disjoint
+            for part, mask in zip(parts.values(), masks):
+                others = members & ~mask
                 for i in part:
                     adj[i] |= others
-    return ConfusionGraph(tuple(vertices), tuple(frozenset(s) for s in adj))
+    return ConfusionGraph(tuple(vertices), tuple(adj))
 
 
 def _projection(messages: frozenset):
@@ -109,45 +114,61 @@ def _projection(messages: frozenset):
     return operator.itemgetter(*(i - 1 for i in sorted(messages)))
 
 
-def chromatic_leq(graph: ConfusionGraph, m: int) -> Optional[dict]:
+def chromatic_leq(graph: ConfusionGraph, m: int, budget: Optional[int] = None) -> Optional[dict]:
     """Exact decision chi(G) <= m by backtracking; returns a proper coloring
     (vertex tuple -> color < m) when one exists, else None.
 
     Vertices are tried by descending degree; a greedy clique is pre-colored
     and new colors are introduced in increasing order, both of which only
-    break color symmetries.
+    break color symmetries.  Each color class is kept as an int bitset, so a
+    color is free for a vertex when its class meets none of the vertex's
+    neighbours.  ``budget`` caps the trials (one color assigned to one
+    vertex); past it ``BudgetExhausted`` is raised, never a negative answer.
     """
     if m < 0:
         raise ValueError("color budget must be >= 0")
     n = graph.n
     if n == 0:
         return {}
-    order = sorted(range(n), key=lambda i: (-len(graph.adjacency[i]), i))
+    adj = graph.adjacency
+    order = sorted(range(n), key=lambda i: (-adj[i].bit_count(), i))
     clique = []
+    cmask = 0
     for i in order:
-        if all(j in graph.adjacency[i] for j in clique):
+        if cmask & ~adj[i] == 0:
             clique.append(i)
+            cmask |= 1 << i
     if len(clique) > m:
         return None
     color = [-1] * n
+    classes = [0] * m  # per color, the bitset of the vertices holding it
     for c, i in enumerate(clique):
         color[i] = c
-    rest = [i for i in order if i not in set(clique)]
+        classes[c] = 1 << i
+    rest = [i for i in order if not cmask >> i & 1]
     # depth-first over rest without recursion, which would nest one call per
     # uncolored vertex: used[idx] counts the colors in use before rest[idx]
     # is colored, and color[rest[idx]] is the last color tried there (-1
     # before the first), so backtracking resumes with the next color
     used = [len(clique)] + [0] * len(rest)
+    trials = 0
     idx = 0
     while 0 <= idx < len(rest):
         i = rest[idx]
-        taken = {color[j] for j in graph.adjacency[i] if color[j] >= 0}
+        neighbours = adj[i]
+        c = color[i]
+        if c >= 0:
+            classes[c] &= ~(1 << i)
         top = min(used[idx] + 1, m)
-        c = color[i] + 1
-        while c < top and c in taken:
+        c += 1
+        while c < top and classes[c] & neighbours:
             c += 1
         if c < top:
+            if budget is not None and trials >= budget:
+                raise BudgetExhausted()
+            trials += 1
             color[i] = c
+            classes[c] |= 1 << i
             used[idx + 1] = max(used[idx], c + 1)
             idx += 1
         else:
@@ -158,12 +179,14 @@ def chromatic_leq(graph: ConfusionGraph, m: int) -> Optional[dict]:
     return {v: color[i] for i, v in enumerate(graph.vertices)}
 
 
-def solvable_at_k(inst: IndexInstance, k: int, cap: int = 4096) -> tuple:
+def solvable_at_k(inst: IndexInstance, k: int, cap: int = 4096,
+                  budget: Optional[int] = None) -> tuple:
     """Exact decision at default size k; returns (solvable, f) where f maps
     each message tuple to an output symbol and has been verified by direct
-    simulation of every client."""
+    simulation of every client.  ``budget`` caps ``chromatic_leq``'s trials;
+    past it ``BudgetExhausted`` is raised."""
     graph = confusion_graph(inst, k, cap=cap)
-    coloring = chromatic_leq(graph, inst.output_bound(k))
+    coloring = chromatic_leq(graph, inst.output_bound(k), budget)
     if coloring is None:
         return False, None
     f = dict(coloring)

@@ -157,6 +157,7 @@ def input_files(butterfly_file, tmp_path):
     ["solve", "{net_messages_int}", "--k", "1"],
     ["solve", "{net_edge_id_obj}", "--k", "1"],
     ["index", "{instance}", "--k", "1", "--cap", "-1"],
+    ["index", "{instance}", "--k", "1", "--budget", "-1"],
     ["torus", "{program}", "--width", "2", "--height", "2", "--cap", "-1"],
 ], ids=lambda argv: "-".join(a.strip("{}-") for a in argv))
 def test_input_errors_exit_3(capsys, input_files, argv):

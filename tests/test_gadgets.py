@@ -77,6 +77,33 @@ def test_double_oracle_agreement(gadget, family, k, accepted):
     assert len(net) == accepted
 
 
+def cond_switch_entry(z0, z1):
+    # Z0 and Z1 tables over (M0, M1, W), all binary
+    sizes = (fixed(2),) * 3
+    return {"Z0": G.CandidateFunction("Z0", ("M0", "M1", "W"), z0, 2, input_sizes=sizes),
+            "Z1": G.CandidateFunction("Z1", ("M0", "M1", "W"), z1, 2, input_sizes=sizes)}
+
+
+def test_cond_switch_double_oracle():
+    # a conditional switch is a switch on each slice W = w, so exactly the
+    # pairs that are a switch with output flips on both slices are accepted.
+    # The parity signal's own conditions read only messages and W, so the
+    # entropy oracle filters its tables once for the whole family
+    keys = list(itertools.product((0, 1), repeat=3))
+    switches = [F.switch_pair(*s) for s in itertools.product((0, 1), repeat=3)]
+    expect = [cond_switch_entry(*({key: slices[key[2]][z].table[key[:2]] for key in keys}
+                                  for z in ("Z0", "Z1")))
+              for slices in itertools.product(switches, repeat=2)]
+    rng = random.Random(12)
+    family = expect + [cond_switch_entry(*({key: rng.randrange(2) for key in keys} for _ in "01"))
+                       for _ in range(32)]
+    rng.shuffle(family)
+    gadget = G.cond_switch_gate(2)
+    net = G.accepted_set(gadget, family, 1)
+    assert entry_keys(net) == entry_keys(G.entropy_accepted_set(gadget, family, 1))
+    assert sorted(entry_keys(net)) == sorted(entry_keys(expect))
+
+
 def table_of(entry, port):
     return tuple(sorted(entry[port].table.items()))
 

@@ -1,11 +1,33 @@
 import itertools
+import pathlib
 import random
+import tracemalloc
+from typing import Optional
 
 import pytest
 from hypothesis import given, strategies as st
 
 from pfsnet import indexcoding as I
+from pfsnet.cli import main
 from pfsnet.model import DEFAULT, fixed, resolve_size
+from pfsnet.solver import BudgetExhausted
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def bitsets(adj_sets):
+    """Int bitset adjacency from neighbour index sets."""
+    return tuple(sum(1 << j for j in s) for s in adj_sets)
+
+
+def neighbours(mask):
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
+def cyclic_instance():
+    # three default-size messages; client i holds M_i and wants M_(i+1)
+    clients = tuple(I.Client(frozenset({i}), frozenset({i % 3 + 1})) for i in (1, 2, 3))
+    return I.IndexInstance((DEFAULT,) * 3, 1, 3, clients)
 
 
 def test_confusion_graph_shapes():
@@ -17,15 +39,14 @@ def test_confusion_graph_shapes():
                             (I.Client(frozenset({1}), frozenset({2})),))
     g2 = I.confusion_graph(inst2, 1)
     for i, v in enumerate(g2.vertices):
-        for j in g2.adjacency[i]:
+        for j in neighbours(g2.adjacency[i]):
             assert g2.vertices[j][0] == v[0] and g2.vertices[j][1] != v[1]
     none = I.IndexInstance((fixed(2),), 1, 0, ())
     assert I.confusion_graph(none, 1).edge_count() == 0
 
 
 def test_chromatic_leq():
-    k4 = I.ConfusionGraph(tuple(range(4)),
-                          tuple(frozenset(set(range(4)) - {i}) for i in range(4)))
+    k4 = I.ConfusionGraph(tuple(range(4)), bitsets(set(range(4)) - {i} for i in range(4)))
     assert I.chromatic_leq(k4, 3) is None
     col = I.chromatic_leq(k4, 4)
     assert col is not None and len(set(col.values())) == 4
@@ -35,9 +56,7 @@ def test_chromatic_leq():
 
 def test_chromatic_leq_large_graph_no_recursion_error():
     # 1,331 vertices: one search level per uncolored vertex
-    clients = tuple(I.Client(frozenset({i}), frozenset({i % 3 + 1})) for i in (1, 2, 3))
-    inst = I.IndexInstance((DEFAULT,) * 3, 1, 3, clients)
-    ok, f = I.solvable_at_k(inst, 11)
+    ok, f = I.solvable_at_k(cyclic_instance(), 11)
     assert ok and len(f) == 11 ** 3
 
 
@@ -53,7 +72,7 @@ def pairwise_confusion_graph(inst, k):
                     and any(va[i - 1] != vb[i - 1] for i in c.wants)):
                 adj[ia].add(ib)
                 adj[ib].add(ia)
-    return I.ConfusionGraph(vertices, tuple(frozenset(s) for s in adj))
+    return I.ConfusionGraph(vertices, bitsets(adj))
 
 
 def random_index_instance(rng, max_messages=3):
@@ -113,8 +132,7 @@ def decodes(inst, f):
 
 def test_cap_boundary_cyclic_instance():
     # 16^3 = 4,096 tuples, exactly the default cap
-    clients = tuple(I.Client(frozenset({i}), frozenset({i % 3 + 1})) for i in (1, 2, 3))
-    inst = I.IndexInstance((DEFAULT,) * 3, 1, 3, clients)
+    inst = cyclic_instance()
     ok, f = I.solvable_at_k(inst, 16)
     assert ok and len(f) == 16 ** 3
     assert all(0 <= x < inst.output_bound(16) for x in f.values())
@@ -133,7 +151,7 @@ def test_chromatic_against_exhaustive():
         for a, b in edges:
             adj[a].add(b)
             adj[b].add(a)
-        g = I.ConfusionGraph(tuple(range(n)), tuple(frozenset(s) for s in adj))
+        g = I.ConfusionGraph(tuple(range(n)), bitsets(adj))
         for m in range(0, n + 1):
             witness = I.chromatic_leq(g, m)
             brute = any(
@@ -164,7 +182,7 @@ def test_client_normalization():
     assert ok  # demand fully covered by side information
 
 
-def test_micro_oracle():
+def micro_instances():
     rng = random.Random(99)
     sizes_pool = [fixed(2), DEFAULT]
     client_types = []
@@ -178,10 +196,106 @@ def test_micro_oracle():
         usable = [c for c in client_types if all(i <= l for i in c.has | c.wants)]
         clients = tuple(rng.sample(usable, rng.randint(1, min(3, len(usable)))))
         a, b = rng.choice([(1, 0), (1, 1), (2, 0), (2, 1)])
-        inst = I.IndexInstance(msgs, a, b, clients)
+        yield I.IndexInstance(msgs, a, b, clients)
+
+
+def test_micro_oracle():
+    for inst in micro_instances():
         for k in (1, 2):
             got, f = I.solvable_at_k(inst, k)
             assert got == I.brute_force_solvable(inst, k), (inst, k)
+
+
+def reference_chromatic_leq(vertices, adjacency, m) -> Optional[dict]:
+    # the frozenset implementation that the bitset one replaced: adjacency
+    # holds one frozenset of neighbour indices per vertex, and the colors
+    # taken around a vertex are collected into a set at each step
+    n = len(vertices)
+    if n == 0:
+        return {}
+    order = sorted(range(n), key=lambda i: (-len(adjacency[i]), i))
+    clique = []
+    for i in order:
+        if all(j in adjacency[i] for j in clique):
+            clique.append(i)
+    if len(clique) > m:
+        return None
+    color = [-1] * n
+    for c, i in enumerate(clique):
+        color[i] = c
+    rest = [i for i in order if i not in set(clique)]
+    used = [len(clique)] + [0] * len(rest)
+    idx = 0
+    while 0 <= idx < len(rest):
+        i = rest[idx]
+        taken = {color[j] for j in adjacency[i] if color[j] >= 0}
+        top = min(used[idx] + 1, m)
+        c = color[i] + 1
+        while c < top and c in taken:
+            c += 1
+        if c < top:
+            color[i] = c
+            used[idx + 1] = max(used[idx], c + 1)
+            idx += 1
+        else:
+            color[i] = -1
+            idx -= 1
+    if idx < 0:
+        return None
+    return {v: color[i] for i, v in enumerate(vertices)}
+
+
+def assert_same_coloring(graph, m):
+    sets = tuple(frozenset(neighbours(a)) for a in graph.adjacency)
+    assert I.chromatic_leq(graph, m) == reference_chromatic_leq(graph.vertices, sets, m), m
+
+
+def test_chromatic_leq_matches_frozenset_reference():
+    # dense random graphs at every m backtrack often: a color class that
+    # kept a vertex's bit after the vertex moved on would block its
+    # neighbours and change the coloring
+    rng = random.Random(2006)
+    for _ in range(150):
+        n = rng.randint(1, 14)
+        p = rng.random()
+        adj = [set() for _ in range(n)]
+        for a, b in itertools.combinations(range(n), 2):
+            if rng.random() < p:
+                adj[a].add(b)
+                adj[b].add(a)
+        g = I.ConfusionGraph(tuple(range(n)), bitsets(adj))
+        for m in range(n + 1):
+            assert_same_coloring(g, m)
+    for inst in micro_instances():
+        for k in (1, 2):
+            g = I.confusion_graph(inst, k)
+            for m in range(inst.output_bound(k) + 2):
+                assert_same_coloring(g, m)
+    for k in (11, 12):
+        assert_same_coloring(I.confusion_graph(cyclic_instance(), k), k ** 3)
+
+
+def test_index_budget():
+    five = I.instance_from_json((DATA / "five_cycle.json").read_text())
+    assert len(five.clients) == 5 and five.output_bound(3) == 9
+    with pytest.raises(BudgetExhausted):
+        I.solvable_at_k(five, 3, budget=500)
+    # an ample budget changes no answer
+    cyclic = cyclic_instance()
+    assert I.solvable_at_k(cyclic, 4, budget=10**6) == I.solvable_at_k(cyclic, 4)
+    assert main(["index", str(DATA / "five_cycle.json"), "--k", "3", "--budget", "10000"]) == 2
+
+
+def test_confusion_graph_memory_at_cap():
+    # 4,096 tuples of degree 720: one 4,096-bit int per tuple
+    tracemalloc.start()
+    try:
+        g = I.confusion_graph(cyclic_instance(), 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n == 4096 and g.edge_count() == 1_474_560
+    assert peak < 32 * 2**20, peak
 
 
 @given(st.integers(0, 10**6))
