@@ -292,7 +292,8 @@ def _cmd_verify_checker(args) -> int:
     net_keys = [key(e) for e in net_acc]
     agreement = net_keys == [key(e) for e in ent_acc]
     norm = gadgets._normalize_family(g, family)
-    accepted_idx = [i for i, e in enumerate(norm) if key(e) in set(net_keys)]
+    accepted_keys = set(net_keys)
+    accepted_idx = [i for i, e in enumerate(norm) if key(e) in accepted_keys]
     _emit({
         "command": "verify-checker",
         "name": g.name,

@@ -9,6 +9,7 @@ tolerances.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -64,13 +65,18 @@ def determined(rows: Iterable[Sequence], target_cols: Sequence[int],
                given_cols: Sequence[int]) -> bool:
     """H(targets | given) = 0 on a distribution supported on ``rows``: no two
     rows agree on ``given_cols`` but differ on ``target_cols``."""
+    key_of, val_of = _getter(given_cols), _getter(target_cols)
     seen: dict = {}
     for r in rows:
-        key = tuple(r[c] for c in given_cols)
-        val = tuple(r[c] for c in target_cols)
-        if seen.setdefault(key, val) != val:
+        val = val_of(r)
+        if seen.setdefault(key_of(r), val) != val:
             return False
     return True
+
+
+def _getter(cols: Sequence[int]):
+    """Read a key off a row: a value, a tuple of values, or () for no cols."""
+    return operator.itemgetter(*cols) if cols else (lambda row: ())
 
 
 def check(dist: UniformSupport, cond: Determined) -> bool:

@@ -19,13 +19,13 @@ must agree candidate by candidate.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from . import entropy
 from .model import DEFAULT, Edge, Network, SizeSpec, fixed, resolve_size
-from .solver import SolveOptions, solve_at_k
+from .solver import SolveOutcome, _Search
 
 
 class ComposeError(ValueError):
@@ -532,6 +532,9 @@ class Composition:
     pins: Mapping[str, tuple]
     message_index: Mapping[str, int]
     out_edges: Mapping[tuple, str]  # (part, port) -> edge id in net
+    # pinned edge id -> (part, port, size, in_sizes) its candidate was checked
+    # against by ``_candidate_values``, in the order the pins were made
+    pin_domains: Mapping[str, tuple] = field(default_factory=dict)
 
 
 def _as_label_tuple(binding: Binding) -> Optional[tuple]:
@@ -555,6 +558,7 @@ class _Composer:
         self.sources: dict = {}
         self.demands: dict = {}
         self.pins: dict = {}
+        self.pin_domains: dict = {}
         self.out_edges: dict = {}
         self.out_dists: dict = {}  # (part, port) -> (distributor node, size)
 
@@ -593,8 +597,10 @@ class _Composer:
                 f"{part}.{port.name}: bound alphabet {prod} != port size {port.size.value}"
             )
 
-    def _candidate_pin(self, part: str, cf: CandidateFunction, spec: SizeSpec, domain_labels: Sequence[str]) -> tuple:
-        """Row-major table over domain_labels sorted by message index."""
+    def _pin(self, eid: str, part: str, port: str, cf: CandidateFunction, spec: SizeSpec,
+             domain_labels: Sequence[str]) -> None:
+        """Pin edge ``eid`` to ``cf``: a row-major table over domain_labels
+        sorted by message index."""
         order = sorted(domain_labels, key=self.index)
         if self.k is None:
             size = spec.value
@@ -604,7 +610,8 @@ class _Composer:
         else:
             size = resolve_size(spec, self.k)
             in_sizes = {lb: resolve_size(self.specs[lb], self.k) for lb in order}
-        return _candidate_values(part, cf, size, in_sizes)
+        self.pin_domains[eid] = (part, port, size, in_sizes)
+        self.pins[eid] = _candidate_values(part, cf, size, in_sizes)
 
     def add_part(self, part: str, g: Gadget, bindings: Mapping[str, Binding]) -> None:
         known = {p.name for p in g.ports}
@@ -697,7 +704,7 @@ class _Composer:
                 self.sources[node] = {self.index(lb) for lb in cf.inputs}
                 eid = f"{part}/{p.name}.cand.e"
                 self.edges.append(Edge(eid, node, head, p.size))
-                self.pins[eid] = self._candidate_pin(part, cf, p.size, cf.inputs)
+                self._pin(eid, part, p.name, cf, p.size, cf.inputs)
         # register outputs, pin them if asked
         cond_ports = [p.name for p in g.ports if p.kind is PortKind.CONDITION_IN]
         for name, (eid, dist) in g.sig_out.items():
@@ -715,7 +722,7 @@ class _Composer:
                             )
                         if comp not in domain:
                             domain.append(comp)
-                self.pins[prefix + eid] = self._candidate_pin(part, cf, edge.size, domain)
+                self._pin(prefix + eid, part, name, cf, edge.size, domain)
         # condition wiring: deliver to every producer/demand node of the part
         for wp in cond_ports:
             for v in g.cond_targets:
@@ -751,6 +758,7 @@ class _Composer:
             pins=dict(self.pins),
             message_index={lb: i + 1 for i, lb in enumerate(self.labels)},
             out_edges=dict(self.out_edges),
+            pin_domains=dict(self.pin_domains),
         )
 
 
@@ -828,15 +836,40 @@ def accepted_set(gadget: Gadget, family: Sequence, k: int,
                  sizes: Optional[Mapping] = None) -> list:
     """Candidates accepted by the network oracle: each candidate is pinned
     into an embedding network (checker internals left free) and kept iff the
-    network is solvable at k.  ``sizes`` instantiates unsized ports."""
+    network is solvable at k.  ``sizes`` instantiates unsized ports.  The
+    embedding and the search setup are built once per candidate shape, and
+    each candidate is one run of the search (see ``_pinned_outcomes``)."""
     entries = _normalize_family(gadget, family)
-    accepted = []
-    sizes = sizes or {}
+    outcomes = _pinned_outcomes(gadget, entries, k, sizes or {})
+    return [entry for entry, outcome in zip(entries, outcomes) if outcome.solvable]
+
+
+def _pinned_outcomes(gadget: Gadget, entries: Sequence[Mapping[str, CandidateFunction]], k: int,
+                     sizes: Mapping) -> Iterator[SolveOutcome]:
+    """For each entry in order, the outcome of ``solve_at_k`` on its
+    embedding with its pins, the same status, ``searched`` count and
+    verified witness.
+
+    The embedding and the search setup depend on a candidate only through
+    its shape: for each pinned port, the candidate's inputs in order, their
+    sizes and its output size.  Both are built once per shape, from its
+    first candidate.  Each later candidate of the shape is checked against
+    the domains that composition pinned, so it raises the ``ComposeError`` a
+    fresh composition would, and only its pin tables go to a new run of the
+    search (see ``solver._Search``)."""
+    setups: dict = {}  # shape -> (embedding, search setup)
     for entry in entries:
-        comp = _embedding(gadget, entry, k, sizes)
-        if solve_at_k(comp.net, k, SolveOptions(pins=dict(comp.pins))).solvable:
-            accepted.append(entry)
-    return accepted
+        shape = tuple((port, cf.inputs, cf.input_sizes, cf.size) for port, cf in sorted(entry.items()))
+        if shape in setups:
+            comp, search = setups[shape]
+            pins = {eid: _candidate_values(part, entry[port], size, in_sizes)
+                    for eid, (part, port, size, in_sizes) in comp.pin_domains.items()}
+        else:
+            comp = _embedding(gadget, entry, k, sizes)
+            search = _Search(comp.net, k, comp.pins)
+            setups[shape] = comp, search
+            pins = comp.pins
+        yield search.decide(pins, None)
 
 
 def _cond_vars(cond) -> set:
@@ -972,16 +1005,26 @@ def _conditions_hold(spec: ConditionSpec, names: list, rows: list, sizes: list,
             unary[touched.pop()].append(c)
         else:
             joint.append(c)
-    choices = [_filter_existential(ex, unary[ex.name], names, rows, sizes, cache)
-               for ex in spec.existentials]
-    if any(not ch for ch in choices):
+    choices = {ex.name: _filter_existential(ex, unary[ex.name], names, rows, sizes, cache)
+               for ex in spec.existentials}
+    if not all(choices.values()):
         return False
     if not joint:
         return True
-    cols = _cols(joint, names + [e.name for e in spec.existentials])
-    for combo in itertools.product(*choices):
-        rows_full = [r + [col[i] for col in combo] for i, r in enumerate(rows)]
-        if _holds(cols, rows_full):
+    # the joint conditions see the columns they read and the existentials
+    # they name, each a function of its inputs; so one row per distinct
+    # projection onto those columns and inputs carries all they see
+    joint_vars = set().union(*map(_cond_vars, joint))
+    read = [c for c, v in enumerate(names) if v in joint_vars]
+    used = [ex for ex in spec.existentials if ex.name in joint_vars]
+    key_cols = sorted(set(read).union(names.index(lb) for ex in used for lb in ex.inputs))
+    reps = list({tuple(r[c] for c in key_cols): i for i, r in enumerate(rows)}.values())
+    base = [tuple(rows[i][c] for c in read) for i in reps]
+    for ex in used:  # in place, so that one copy of the columns is alive
+        choices[ex.name] = [[col[i] for i in reps] for col in choices[ex.name]]
+    cols = _cols(joint, [names[c] for c in read] + [ex.name for ex in used])
+    for combo in itertools.product(*(choices[ex.name] for ex in used)):
+        if _holds(cols, {b + values for b, values in zip(base, zip(*combo))}):
             return True
     return False
 

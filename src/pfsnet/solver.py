@@ -40,7 +40,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Collection, Iterator, Mapping, Optional, Sequence
 
 from .model import (
     CodingScheme,
@@ -268,15 +268,24 @@ class _Search:
     messages off the row; two tuples with equal keys and different demanded
     messages refute the branch, and the branch points that the key's edge
     values of both rows depend on take the blame.
+
+    The work comes in two steps.  The setup (``__init__``) depends only on the
+    network, k, which edges are pinned and symmetry breaking: it validates the
+    network and fixes the tuple order, the roots, the searched edges, their
+    domain columns, their symmetry eligibility and the frontier-cut checks.
+    A run (``solutions`` or ``decide``) takes the pin tables and the budget
+    and starts from fresh rows, keys and trail, so one setup serves any
+    number of runs that differ only in their pin tables.
     """
 
-    def __init__(self, net: Network, k: int, opts: SolveOptions):
+    def __init__(self, net: Network, k: int, pinned: Collection[str] = (),
+                 symmetry_breaking: bool = True):
         rep = validate(net)
         if not rep.ok:
             raise InvalidNetwork(f"invalid network: {rep.violations}")
         if k < 1:
             raise ValueError("k must be >= 1")
-        self.opts = opts
+        self.net, self.k = net, k
         msg_sizes = [resolve_size(m, k) for m in net.messages]
         n_msgs = len(msg_sizes)
         # graded order: every tuple of the sub-box {0..j}^n comes before any
@@ -298,23 +307,18 @@ class _Search:
             else:
                 root[e.id] = e.id
                 self.tabled.append(e)
-        for eid in opts.pins:
+        for eid in pinned:
             if eid not in root:
                 raise ValueError(f"pin for unknown edge {eid!r}")
             if root[eid] != eid:
                 raise ValueError(f"cannot pin broadcast out-edge {eid!r}")
-        self.pinned = {eid: tuple(t) for eid, t in opts.pins.items()}
+        self.pinned = frozenset(pinned)
         self.size = {e.id: resolve_size(e.size, k) for e in self.tabled}
         self.dom_size = {
             e.id: math.prod([msg_sizes[i - 1] for i in net.source_set(e.tail)]
                             + [resolve_size(f.size, k) for f in net.in_edges(e.tail)])
             for e in self.tabled
         }
-        for eid, table in self.pinned.items():
-            if len(table) != self.dom_size[eid]:
-                raise ValueError(f"pin for {eid!r} has length {len(table)}, expected {self.dom_size[eid]}")
-            if any(not 0 <= x < self.size[eid] for x in table):
-                raise ValueError(f"pin for {eid!r} out of range")
         # a demand its own sources satisfy needs nothing; the others make
         # every edge upstream of them relevant
         demands = [v for v in sorted(net.demands) if not net.demands[v] <= net.source_set(v)]
@@ -340,7 +344,7 @@ class _Search:
         # following forced relays, must be free to relabel (no pinned out-edge)
         self.sym = []
         for e in self.edges:
-            ok = opts.symmetry_breaking
+            ok = symmetry_breaking
             stack = [e.head] if self.pinned else []
             seen = set()
             while stack and ok:
@@ -415,17 +419,27 @@ class _Search:
             # ``solutions``)
             blame = tuple(n_msgs + n + c for c in key if c >= n_msgs)
             self.checks_at[p].append((_getter(key), _getter(rest), blame))
-        self.searched = 0
 
-    def solutions(self) -> Iterator[dict]:
-        """Depth-first over single entries, with explicit stacks; yields the
-        tables (see ``_tables``) once per assignment of the reached entries
-        that satisfies every check.
+    def solutions(self, pins: Mapping[str, Sequence[int]], budget: Optional[int]) -> Iterator[dict]:
+        """One run: depth-first over single entries, with explicit stacks;
+        yields the tables (see ``_tables``) once per assignment of the
+        reached entries that satisfies every check.  ``pins`` gives a table
+        for exactly the edges the setup pinned; ``budget`` caps the entry
+        trials, counted in ``searched`` from 0.
 
         Backtracking jumps on conflict sets (see the module docstring).
         Frames are numbered in creation order and a set of frames is an int
         bitset.  After a solution every open frame is blamed, so every
         solution is yielded."""
+        self.searched = 0
+        if pins.keys() != self.pinned:
+            raise ValueError(f"pins for {sorted(pins)}, but the setup pinned {sorted(self.pinned)}")
+        pinned = {eid: tuple(t) for eid, t in pins.items()}
+        for eid, table in pinned.items():
+            if len(table) != self.dom_size[eid]:
+                raise ValueError(f"pin for {eid!r} has length {len(table)}, expected {self.dom_size[eid]}")
+            if any(not 0 <= x < self.size[eid] for x in table):
+                raise ValueError(f"pin for {eid!r} out of range")
         if self.infeasible:
             return
         n = len(self.edges)
@@ -437,7 +451,7 @@ class _Search:
         # that set the entry it read (none for a pinned entry) and those of
         # the cells that index that entry (none for a message)
         rows = [list(t) + [0] * (n + width) for t in self.tuples]
-        tables = [list(self.pinned[e.id]) if e.id in self.pinned else [-1] * self.dom_size[e.id]
+        tables = [list(pinned[e.id]) if e.id in pinned else [-1] * self.dom_size[e.id]
                   for e in self.edges]
         setter = [[0] * self.dom_size[e.id] for e in self.edges]  # bit of the frame that set an entry
         sizes = [self.size[e.id] for e in self.edges]
@@ -445,7 +459,6 @@ class _Search:
         # per check, the index of the row that first stored each key
         checks_at = [[({}, key_of, want_of, blame) for key_of, want_of, blame in at]
                      for at in self.checks_at]
-        budget = self.opts.node_budget
         used = [0] * n  # values in use per edge (restricted growth)
         frames: list = []  # [tuple, position, entry, value, top, used before, trail mark, blamed]
         trail: list = []  # (seen, key) inserted by the checks, in order
@@ -490,7 +503,7 @@ class _Search:
                     frames.append([ti, p, d, -1, top, used[p], len(trail), 0])
                 break
             else:
-                yield self._tables(tables)
+                yield self._tables(tables, pinned)
                 conflict = (1 << len(frames)) - 1
             # jump to the newest blamed frame, dropping the newer ones, and
             # move it to its next value; an exhausted frame blames what it
@@ -524,19 +537,29 @@ class _Search:
             else:
                 return
 
-    def _tables(self, tables: list) -> dict:
+    def _tables(self, tables: list, pinned: Mapping[str, tuple]) -> dict:
         """Every encoding table, by edge id, in evaluation order; entries the
         search did not reach are None."""
         searched = {e.id: t for e, t in zip(self.edges, tables)}
         out = {}
         for e in self.tabled:
-            if e.id in self.pinned:
-                out[e.id] = self.pinned[e.id]
+            if e.id in pinned:
+                out[e.id] = pinned[e.id]
             elif e.id in searched:
                 out[e.id] = tuple(None if x < 0 else x for x in searched[e.id])
             else:
                 out[e.id] = (None,) * self.dom_size[e.id]
         return out
+
+    def decide(self, pins: Mapping[str, Sequence[int]], budget: Optional[int]) -> SolveOutcome:
+        """One run to its first solution: the outcome of ``solve_at_k`` with
+        these pins and this budget."""
+        try:
+            for tables in self.solutions(pins, budget):
+                return SolveOutcome(Status.SOLVABLE, _witness(self.net, self.k, tables), self.searched)
+            return SolveOutcome(Status.UNSOLVABLE_AT_K, None, self.searched)
+        except _BudgetHit:
+            return SolveOutcome(Status.BUDGET_EXHAUSTED, None, self.searched)
 
 
 def _witness(net: Network, k: int, tables: Mapping[str, Sequence]) -> CodingScheme:
@@ -556,13 +579,7 @@ def solve_at_k(net: Network, k: int, opts: Optional[SolveOptions] = None) -> Sol
     nothing about other k).
     """
     opts = opts or SolveOptions()
-    search = _Search(net, k, opts)
-    try:
-        for tables in search.solutions():
-            return SolveOutcome(Status.SOLVABLE, _witness(net, k, tables), search.searched)
-        return SolveOutcome(Status.UNSOLVABLE_AT_K, None, search.searched)
-    except _BudgetHit:
-        return SolveOutcome(Status.BUDGET_EXHAUSTED, None, search.searched)
+    return _Search(net, k, opts.pins, opts.symmetry_breaking).decide(opts.pins, opts.node_budget)
 
 
 def solve_up_to(net: Network, k_max: int, opts: Optional[SolveOptions] = None) -> Optional[tuple]:
@@ -593,9 +610,9 @@ def enumerate_solutions(net: Network, k: int, limit: Optional[int] = None) -> li
     no message tuple reaches takes each of its values, so with limit=None
     every scheme is produced.
     """
-    search = _Search(net, k, SolveOptions(symmetry_breaking=False))
+    search = _Search(net, k, symmetry_breaking=False)
     out = []
-    for tables in search.solutions():
+    for tables in search.solutions({}, None):
         for encodings in _completions(tables, search.size):
             out.append(derive_decodings(net, k, encodings))
             if limit is not None and len(out) >= limit:

@@ -8,7 +8,7 @@ from pfsnet import families as F
 from pfsnet import gadgets as G
 from pfsnet.entropy import Determined, check, support_of_scheme
 from pfsnet.model import DEFAULT, fixed, validate
-from pfsnet.solver import SolveOptions, enumerate_solutions, solve_at_k
+from pfsnet.solver import SolveOptions, enumerate_solutions, solve_at_k, verify_scheme
 
 ALL_CONSTRUCTORS = [
     G.xor_checker,
@@ -436,22 +436,118 @@ def test_accepted_set_empty_family():
     assert G.entropy_accepted_set(G.xor_checker(), [], 2) == []
 
 
+def reordered(cf):
+    """The same function with its inputs listed in reverse order: a candidate
+    of another shape."""
+    return G.CandidateFunction(cf.output, cf.inputs[::-1], {key[::-1]: v for key, v in cf.table.items()},
+                               cf.size, cf.input_sizes[::-1])
+
+
+def mixed(family):
+    """Each candidate, then the same function with its inputs reordered."""
+    return [cf for pair in zip(family, map(reordered, family)) for cf in pair]
+
+
+def shaped_keys(entries):
+    """``entry_keys`` with each candidate's input order: a reordered table
+    can equal another candidate's table."""
+    return [tuple(sorted((p, cf.inputs, table_of(e, p)) for p, cf in e.items())) for e in entries]
+
+
+SHARED_SETUP_CASES = {
+    "xor": (G.xor_checker(), F.xor_family(), 2),
+    "xor-mixed": (G.xor_checker(), mixed(F.xor_family()), 2),
+    "cond-xor": (G.cond_xor_checker(2), F.cond_xor_family(), 1),
+    "tristate": (G.tristate_checker(), F.tristate_family(), 1),
+    "bstate2": (G.bstate_checker(2), F.bstate_family(2), 1),
+    "switch": (G.switch_gate(), F.switch_family(), 1),
+    "cycles3": (G.cycles_gate(), F.cycles_family(3), 3),
+    "cycles2-mixed": (G.cycles_gate(), mixed(F.cycles_family(2)), 2),
+    "bstate3-sample": (G.bstate_checker(3), random.Random(20261019).sample(F.bstate_family(3), 300), 1),
+}
+
+
+@pytest.mark.parametrize("gadget, family, k", SHARED_SETUP_CASES.values(), ids=SHARED_SETUP_CASES)
+def test_shared_setup_matches_fresh_solves(gadget, family, k):
+    # one embedding and search setup per candidate shape gives, candidate by
+    # candidate, the verdict and the trial count of a fresh composition
+    entries = G._normalize_family(gadget, family)
+    shared = list(G._pinned_outcomes(gadget, entries, k, {}))
+    assert len(shared) == len(entries)
+    statuses = set()
+    for entry, got in zip(entries, shared):
+        comp = G._embedding(gadget, entry, k, {})
+        fresh = solve_at_k(comp.net, k, SolveOptions(pins=dict(comp.pins)))
+        assert (got.status, got.searched) == (fresh.status, fresh.searched), entry_keys([entry])
+        if got.solvable:
+            assert verify_scheme(comp.net, got.scheme).ok
+            assert all(got.scheme.encodings[e] == t for e, t in comp.pins.items())
+        statuses.add(got.status)
+    assert len(statuses) == 2  # both verdicts occur
+
+
+@pytest.mark.parametrize("gadget, family, k", [
+    (G.switch_gate(), F.switch_family(), 1),
+    (G.cycles_gate(), F.cycles_family(3), 3),
+    (G.bstate_checker(2), mixed(F.bstate_family(2)), 1),
+], ids=["switch", "cycles3", "bstate2-mixed"])
+def test_accepted_set_of_shuffled_family_matches_lone_candidates(gadget, family, k):
+    family = list(family)
+    random.Random(7).shuffle(family)
+    alone = [entry for entry in family if G.accepted_set(gadget, [entry], k)]
+    got = G.accepted_set(gadget, family, k)
+    assert shaped_keys(got) == shaped_keys(G._normalize_family(gadget, alone))
+    assert got
+
+
+@pytest.mark.parametrize("gadget, family, k", [
+    (G.xor_checker(), F.xor_family(), 2),
+    (G.tristate_checker(), F.tristate_family(), 1),
+    (G.cycles_gate(), F.cycles_family(2), 2),
+], ids=["xor", "tristate", "cycles2"])
+def test_family_mixing_two_shapes_matches_its_halves(gadget, family, k):
+    other = [reordered(cf) for cf in family]
+    first, second = G.accepted_set(gadget, family, k), G.accepted_set(gadget, other, k)
+    halves = shaped_keys(first + second)
+    both = G._normalize_family(gadget, mixed(family))
+    assert shaped_keys(G.accepted_set(gadget, mixed(family), k)) == [
+        key for key in shaped_keys(both) if key in halves]
+    # the order of a candidate's inputs does not change its verdict
+    assert len(first) == len(second) > 0
+
+
 PARITY = {(a, b): a ^ b for a in (0, 1) for b in (0, 1)}
+WELL_FORMED_Y = {"Y": G.CandidateFunction("Y", ("M1", "M2"), PARITY, 2)}
+CYCLES_K2 = F.cycles_family(2)[5]
 
 
-@pytest.mark.parametrize("ctor, entry", [
-    (G.xor_checker, {"Y": G.CandidateFunction("Y", ("M1", "M2"), dict.fromkeys(PARITY, 5), 2)}),
+@pytest.mark.parametrize("ctor, entry, well", [
+    (G.xor_checker, {"Y": G.CandidateFunction("Y", ("M1", "M2"), dict.fromkeys(PARITY, 5), 2)},
+     WELL_FORMED_Y),
     (G.xor_checker, {"Y": G.CandidateFunction("Y", ("M1", "M2"),
-                                              {key: v for key, v in PARITY.items() if key != (1, 1)}, 2)}),
+                                              {key: v for key, v in PARITY.items() if key != (1, 1)}, 2)},
+     WELL_FORMED_Y),
     (G.xor_checker, {"Y": G.CandidateFunction("Y", ("M1", "M2"), PARITY, 2),
-                     "Q": G.CandidateFunction("Q", ("M1", "M2"), PARITY, 2)}),
-    (G.xor_checker, {"Y": G.CandidateFunction("Y", ("M1", "M2"), PARITY, 3)}),
-    (G.xor_gate, {"Y": G.CandidateFunction("Y", ("M1",), {(0,): 0, (1,): 1}, 2)}),
-], ids=["value-out-of-range", "missing-entry", "unknown-port", "wrong-size", "gate-output-domain"])
-def test_both_oracles_refuse_malformed_candidates(ctor, entry):
+                     "Q": G.CandidateFunction("Q", ("M1", "M2"), PARITY, 2)}, None),
+    (G.xor_checker, {"Y": G.CandidateFunction("Y", ("M1", "M2"), PARITY, 3)}, None),
+    (G.xor_gate, {"Y": G.CandidateFunction("Y", ("M1",), {(0,): 0, (1,): 1}, 2)}, None),
+    (G.xor_gate, {"Y": G.CandidateFunction("Y", ("M1", "M2"), dict.fromkeys(PARITY, 2), 2)},
+     WELL_FORMED_Y),
+    (G.cycles_gate, {"X2": G.CandidateFunction("X2", CYCLES_K2.inputs,
+                                               {key: v for key, v in CYCLES_K2.table.items() if key != (1, 0)},
+                                               2, CYCLES_K2.input_sizes)},
+     {"X2": CYCLES_K2}),
+], ids=["value-out-of-range", "missing-entry", "unknown-port", "wrong-size", "gate-output-domain",
+        "gate-value-out-of-range", "default-size-missing-entry"])
+def test_both_oracles_refuse_malformed_candidates(ctor, entry, well):
     for oracle in (G.accepted_set, G.entropy_accepted_set):
-        with pytest.raises(G.ComposeError):
+        with pytest.raises(G.ComposeError) as alone:
             oracle(ctor(), [entry], 2)
+        if well is not None:
+            # after well-formed candidates of the same shape: the same error
+            with pytest.raises(G.ComposeError) as later:
+                oracle(ctor(), [well, well, entry, well], 2)
+            assert str(later.value) == str(alone.value)
 
 
 def test_gadget_catalog_and_json():

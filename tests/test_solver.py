@@ -24,6 +24,7 @@ from pfsnet.solver import (
     enumerate_solutions,
     naive_solve_at_k,
     solve_at_k,
+    _Search,
     solve_up_to,
     verify_scheme,
 )
@@ -231,12 +232,57 @@ def random_pins(rng: random.Random, net: Network, k: int) -> dict:
     if not tabled or rng.random() < 0.5:
         return {}
     e = rng.choice(tabled)
+    return {e.id: random_table(rng, net, e, k)}
+
+
+def random_table(rng: random.Random, net: Network, e: Edge, k: int) -> tuple:
     dom = 1
     for i in net.source_set(e.tail):
         dom *= resolve_size(net.messages[i - 1], k)
     for f in net.in_edges(e.tail):
         dom *= resolve_size(f.size, k)
-    return {e.id: tuple(rng.randrange(resolve_size(e.size, k)) for _ in range(dom))}
+    return tuple(rng.randrange(resolve_size(e.size, k)) for _ in range(dom))
+
+
+def test_a_run_keeps_no_state_in_its_setup(butterfly):
+    # the keys, the trail and the rows of a run are its own: the setup's
+    # attributes keep their objects and their sizes, and gain only the count
+    net = butterfly.net
+    bottleneck = next(e.id for e in net.edges if e.tail not in net.broadcast)
+    search = _Search(net, 2, [bottleneck])
+
+    def state():
+        return {name: (id(v), len(v) if hasattr(v, "__len__") else v)
+                for name, v in vars(search).items() if name != "searched"}
+
+    before = state()
+    for table in itertools.product(range(2), repeat=4):
+        out = search.decide({bottleneck: table}, None)
+        assert out.searched == solve_at_k(net, 2, SolveOptions(pins={bottleneck: table})).searched
+        assert state() == before
+
+
+def test_one_setup_serves_runs_with_other_pins():
+    # a setup depends on which edges are pinned, not on their tables; every
+    # run starts afresh, so it gives the outcome and the trial count of a
+    # fresh solve_at_k whatever ran before it, an exhausted budget included
+    rng = random.Random(20261019)
+    outcomes = set()
+    for trial in range(60):
+        net = random_pruning_net(rng)
+        tabled = [e for e in net.edges if e.tail not in net.broadcast]
+        pinned = rng.sample(tabled, rng.randint(0, min(2, len(tabled))))
+        for k in (1, 2):
+            search = _Search(net, k, [e.id for e in pinned])
+            for budget in (None, 2, None, None):
+                pins = {e.id: random_table(rng, net, e, k) for e in pinned}
+                want = solve_at_k(net, k, SolveOptions(pins=pins, node_budget=budget))
+                got = search.decide(pins, budget)
+                assert (got.status, got.searched, got.scheme) == (want.status, want.searched, want.scheme)
+                outcomes.add(got.status)
+        with pytest.raises(ValueError):
+            search.decide({}, None) if pinned else search.decide({tabled[0].id: ()}, None)
+    assert outcomes == set(Status)
 
 
 def test_pruning_agrees_with_naive_oracle():
