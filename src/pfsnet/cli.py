@@ -283,7 +283,7 @@ def _cmd_verify_checker(args) -> int:
     except gadgets.ComposeError as exc:
         if not args.family:
             raise
-        raise FormatError(f"{args.family} does not fit {g.name}: {exc}") from exc
+        raise FormatError(f"{args.family} does not fit {g.name}: candidate {exc.index}: {exc}") from exc
     ent_acc = gadgets.entropy_accepted_set(g, family, args.k, sizes=sizes)
 
     def key(entry):

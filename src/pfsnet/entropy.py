@@ -100,9 +100,7 @@ def support_of_scheme(net, scheme) -> UniformSupport:
     order = solver.edge_eval_order(net)
     variables = [(f"M{i}", s) for i, s in enumerate(sizes, start=1)]
     variables += [(e.id, e.size.resolve(scheme.k)) for e in order]
-    points = []
-    for msg, signals in solver.simulate(net, scheme):
-        points.append(tuple(msg) + tuple(signals[e.id] for e in order))
+    points = [tuple(values.values()) for values in solver.simulate(net, scheme)]
     dist = UniformSupport(tuple(variables), frozenset(points))
     expect = 1
     for s in sizes:

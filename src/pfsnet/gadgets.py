@@ -29,7 +29,12 @@ from .solver import SolveOutcome, _Search
 
 
 class ComposeError(ValueError):
-    pass
+    """A part or candidate does not fit.  ``index`` is the position in the
+    family of the candidate at fault, where an acceptance oracle knows it."""
+
+    def __init__(self, message: str, index: Optional[int] = None):
+        super().__init__(message)
+        self.index = index
 
 
 class PortKind(Enum):
@@ -602,16 +607,17 @@ class _Composer:
         """Pin edge ``eid`` to ``cf``: a row-major table over domain_labels
         sorted by message index."""
         order = sorted(domain_labels, key=self.index)
+        where = f"{part}.{port}"
         if self.k is None:
             size = spec.value
             in_sizes = {lb: self.specs[lb].value for lb in order}
             if size is None or None in in_sizes.values():
-                raise ComposeError(f"{part}: candidate over default-size alphabet needs k")
+                raise ComposeError(f"{where}: candidate over default-size alphabet needs k")
         else:
             size = resolve_size(spec, self.k)
             in_sizes = {lb: resolve_size(self.specs[lb], self.k) for lb in order}
         self.pin_domains[eid] = (part, port, size, in_sizes)
-        self.pins[eid] = _candidate_values(part, cf, size, in_sizes)
+        self.pins[eid] = _candidate_values(where, cf, size, in_sizes)
 
     def add_part(self, part: str, g: Gadget, bindings: Mapping[str, Binding]) -> None:
         known = {p.name for p in g.ports}
@@ -796,15 +802,15 @@ def _normalize_family(gadget: Gadget, family: Sequence) -> list:
         if p.kind in (PortKind.SIGNAL_IN, PortKind.SIGNAL_OUT)
     ]
     out = []
-    for entry in family:
+    for index, entry in enumerate(family):
         if isinstance(entry, CandidateFunction):
             entry = {entry.output: entry}
         missing = [p for p in pinned_ports if p not in entry]
         if missing:
-            raise ComposeError(f"candidate entry missing tables for ports {missing}")
+            raise ComposeError(f"candidate entry missing tables for ports {missing}", index)
         unknown = sorted(set(entry) - set(pinned_ports))
         if unknown:
-            raise ComposeError(f"{gadget.name}: candidate entry names no signal port: {unknown}")
+            raise ComposeError(f"{gadget.name}: candidate entry names no signal port: {unknown}", index)
         out.append(dict(entry))
     return out
 
@@ -820,16 +826,17 @@ def _port_size(gadget: Gadget, p: Port, sizes: Mapping) -> SizeSpec:
 
 def _embedding(gadget: Gadget, entry: Mapping[str, CandidateFunction], k: Optional[int],
                sizes: Mapping) -> Composition:
-    """The gadget as a standalone network: each candidate of ``entry`` pins
-    its port, and every other port except the outputs binds to a message of
-    its own name (``sizes`` sizes the unsized ones)."""
+    """The gadget as a standalone network, one part named after the gadget:
+    each candidate of ``entry`` pins its port, and every other port except
+    the outputs binds to a message of its own name (``sizes`` sizes the
+    unsized ones)."""
     messages: dict = {}
     bindings: dict = dict(entry)
     for p in gadget.ports:
         if p.kind is not PortKind.SIGNAL_OUT and p.name not in entry:
             messages[p.name] = _port_size(gadget, p, sizes)
             bindings[p.name] = (p.name,)
-    return compose([("g", gadget, bindings)], messages, k=k)
+    return compose([(gadget.name, gadget, bindings)], messages, k=k)
 
 
 def accepted_set(gadget: Gadget, family: Sequence, k: int,
@@ -855,20 +862,24 @@ def _pinned_outcomes(gadget: Gadget, entries: Sequence[Mapping[str, CandidateFun
     sizes and its output size.  Both are built once per shape, from its
     first candidate.  Each later candidate of the shape is checked against
     the domains that composition pinned, so it raises the ``ComposeError`` a
-    fresh composition would, and only its pin tables go to a new run of the
-    search (see ``solver._Search``)."""
+    fresh composition would (with ``index``, the entry's position), and only
+    its pin tables go to a new run of the search (see ``solver._Search``)."""
     setups: dict = {}  # shape -> (embedding, search setup)
-    for entry in entries:
+    for index, entry in enumerate(entries):
         shape = tuple((port, cf.inputs, cf.input_sizes, cf.size) for port, cf in sorted(entry.items()))
-        if shape in setups:
-            comp, search = setups[shape]
-            pins = {eid: _candidate_values(part, entry[port], size, in_sizes)
-                    for eid, (part, port, size, in_sizes) in comp.pin_domains.items()}
-        else:
-            comp = _embedding(gadget, entry, k, sizes)
-            search = _Search(comp.net, k, comp.pins)
-            setups[shape] = comp, search
-            pins = comp.pins
+        try:
+            if shape in setups:
+                comp, search = setups[shape]
+                pins = {eid: _candidate_values(f"{part}.{port}", entry[port], size, in_sizes)
+                        for eid, (part, port, size, in_sizes) in comp.pin_domains.items()}
+            else:
+                comp = _embedding(gadget, entry, k, sizes)
+                search = _Search(comp.net, k, comp.pins)
+                setups[shape] = comp, search
+                pins = comp.pins
+        except ComposeError as exc:
+            exc.index = index
+            raise
         yield search.decide(pins, None)
 
 

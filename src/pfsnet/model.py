@@ -416,8 +416,9 @@ class CodingScheme:
     decoding table per demand node.
 
     Table domains are row-major over (source messages ascending, in-edges by
-    edge id), with the last coordinate varying fastest.  Broadcast out-edges
-    carry no table: they forward their node's input verbatim.
+    edge id), with the last coordinate varying fastest; ``solver.table_domain``
+    is the one definition of that layout.  Broadcast out-edges carry no table:
+    they forward their node's input verbatim.
     """
 
     k: int

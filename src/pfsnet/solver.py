@@ -37,11 +37,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Collection, Iterator, Mapping, Optional, Sequence
 
+from .entropy import _getter
 from .model import (
     CodingScheme,
     InvalidNetwork,
@@ -102,39 +102,54 @@ def edge_eval_order(net: Network) -> list:
 # straightforward (oracle-grade) evaluation
 
 
-def _node_index(sizes: Sequence[int], values: Sequence[int]) -> int:
+def table_domain(net: Network, k: int, v: str) -> list:
+    """The coordinates of node v's tables (its out-edges' encodings and its
+    decoding), in row-major order with the last varying fastest: each source
+    message ascending, as (message index, size), then each in-edge by edge
+    id, as (edge id, size).  The one definition of the table layout."""
+    return [(i, resolve_size(net.messages[i - 1], k)) for i in sorted(net.source_set(v))] + [
+        (f.id, resolve_size(f.size, k)) for f in net.in_edges(v)
+    ]
+
+
+def _table_index(dom: Sequence[tuple], values: Mapping) -> int:
+    """The row-major index of ``values`` in a table over ``dom``."""
     idx = 0
-    for s, v in zip(sizes, values):
-        idx = idx * s + v
+    for src, size in dom:
+        idx = idx * size + values[src]
     return idx
 
 
-def simulate(net: Network, scheme: CodingScheme) -> Iterator[tuple]:
-    """Yield (message_tuple, {edge_id: signal}) for every message tuple."""
+def simulate(net: Network, scheme: CodingScheme) -> Iterator[dict]:
+    """For every message tuple, yield one mapping from message index (int)
+    and edge id (str) to value: the messages 1..l, then the edge signals in
+    ``edge_eval_order``."""
     k = scheme.k
-    msg_sizes = [resolve_size(m, k) for m in net.messages]
-    order = edge_eval_order(net)
-    for msg in itertools.product(*(range(s) for s in msg_sizes)):
-        signals: dict = {}
-        for e in order:
-            u = e.tail
-            if u in net.broadcast:
-                signals[e.id] = signals[net.in_edges(u)[0].id]
-            else:
-                srcs = sorted(net.source_set(u))
-                sizes = [msg_sizes[i - 1] for i in srcs] + [
-                    resolve_size(f.size, k) for f in net.in_edges(u)
-                ]
-                vals = [msg[i - 1] for i in srcs] + [signals[f.id] for f in net.in_edges(u)]
-                signals[e.id] = scheme.encodings[e.id][_node_index(sizes, vals)]
-        yield msg, signals
+    plan = []  # per edge: (id, table, domain), or (id, None, in-edge id) for a relay
+    for e in edge_eval_order(net):
+        if e.tail in net.broadcast:
+            plan.append((e.id, None, net.in_edges(e.tail)[0].id))
+        else:
+            plan.append((e.id, scheme.encodings[e.id], table_domain(net, k, e.tail)))
+    labels = range(1, net.n_messages + 1)
+    for msg in itertools.product(*(range(resolve_size(m, k)) for m in net.messages)):
+        values = dict(zip(labels, msg))
+        for eid, table, dom in plan:
+            values[eid] = values[dom] if table is None else table[_table_index(dom, values)]
+        yield values
 
 
-def _decode_domain(net: Network, k: int, v: str) -> tuple:
-    msg_sizes = [resolve_size(m, k) for m in net.messages]
-    return tuple(msg_sizes[i - 1] for i in sorted(net.source_set(v))) + tuple(
-        resolve_size(e.size, k) for e in net.in_edges(v)
-    )
+def _decoder_pass(net: Network, scheme: CodingScheme) -> Iterator[tuple]:
+    """(demand, decoding table index, demanded message values) for every
+    message tuple and demand."""
+    plan = [(v, table_domain(net, scheme.k, v), sorted(want)) for v, want in net.demands.items()]
+    for values in simulate(net, scheme):
+        for v, dom, want in plan:
+            yield v, _table_index(dom, values), tuple(values[i] for i in want)
+
+
+def _domain_size(net: Network, k: int, v: str) -> int:
+    return math.prod(size for _, size in table_domain(net, k, v))
 
 
 def derive_decodings(net: Network, k: int, encodings: Mapping[str, Sequence[int]]) -> CodingScheme:
@@ -144,26 +159,16 @@ def derive_decodings(net: Network, k: int, encodings: Mapping[str, Sequence[int]
     the encodings do not actually separate some demand, the resulting scheme
     simply fails verify_scheme.
     """
-    enc = {e: tuple(t) for e, t in encodings.items()}
-    partial = CodingScheme(k=k, encodings=enc, decodings={})
-    tables: dict = {}
-    for v, want in net.demands.items():
-        dom = _decode_domain(net, k, v)
-        n = 1
-        for s in dom:
-            n *= s
-        tables[v] = [[0] * len(want) for _ in range(n)]
-    for msg, signals in simulate(net, partial):
-        for v, want in net.demands.items():
-            srcs = sorted(net.source_set(v))
-            vals = [msg[i - 1] for i in srcs] + [signals[e.id] for e in net.in_edges(v)]
-            idx = _node_index(_decode_domain(net, k, v), vals)
-            tables[v][idx] = [msg[i - 1] for i in sorted(want)]
-    return CodingScheme(k=k, encodings=enc, decodings={v: tuple(tuple(r) for r in t) for v, t in tables.items()})
+    partial = CodingScheme(k=k, encodings=encodings, decodings={})
+    tables = {v: [(0,) * len(want)] * _domain_size(net, k, v) for v, want in net.demands.items()}
+    for v, idx, got in _decoder_pass(net, partial):
+        tables[v][idx] = got
+    return CodingScheme(k=k, encodings=partial.encodings, decodings=tables)
 
 
 def verify_scheme(net: Network, scheme: CodingScheme) -> ValidationReport:
-    """Exhaustively evaluate all message tuples and report every violation."""
+    """Exhaustively evaluate all message tuples and report every violation,
+    each rule at most once per edge or node."""
     bad: list = []
     rep = validate(net)
     if not rep.ok:
@@ -187,68 +192,34 @@ def verify_scheme(net: Network, scheme: CodingScheme) -> ValidationReport:
         table = scheme.encodings.get(e.id)
         if table is None:
             bad.append(("missing-encoding", e.id))
-            continue
-        u = e.tail
-        dom = 1
-        for i in sorted(net.source_set(u)):
-            dom *= resolve_size(net.messages[i - 1], k)
-        for f in net.in_edges(u):
-            dom *= resolve_size(f.size, k)
-        if len(table) != dom:
+        elif len(table) != _domain_size(net, k, e.tail):
             bad.append(("encoding-domain", e.id))
-            continue
-        size = resolve_size(e.size, k)
-        if any(not 0 <= x < size for x in table):
+        elif any(not 0 <= x < resolve_size(e.size, k) for x in table):
             bad.append(("encoding-range", e.id))
     for v, want in net.demands.items():
         table = scheme.decodings.get(v)
         if table is None:
             bad.append(("missing-decoding", v))
             continue
-        dom = 1
-        for s in _decode_domain(net, k, v):
-            dom *= s
-        if len(table) != dom:
+        if len(table) != _domain_size(net, k, v):
             bad.append(("decoding-domain", v))
             continue
-        for row in table:
-            if len(row) != len(want):
-                bad.append(("decoding-width", v))
-                break
-            for i, x in zip(sorted(want), row):
-                if not 0 <= x < resolve_size(net.messages[i - 1], k):
-                    bad.append(("decoding-range", v))
-                    break
+        # rows are checked in order up to the first one of the wrong width
+        rows = list(itertools.takewhile(lambda row: len(row) == len(want), table))
+        sizes = [resolve_size(net.messages[i - 1], k) for i in sorted(want)]
+        if any(not 0 <= x < s for row in rows for x, s in zip(row, sizes)):
+            bad.append(("decoding-range", v))
+        if len(rows) < len(table):
+            bad.append(("decoding-width", v))
     if bad:
         return ValidationReport(False, tuple(bad))
-    failed = set()
-    for msg, signals in simulate(net, scheme):
-        for v, want in net.demands.items():
-            if v in failed:
-                continue
-            srcs = sorted(net.source_set(v))
-            vals = [msg[i - 1] for i in srcs] + [signals[e.id] for e in net.in_edges(v)]
-            idx = _node_index(_decode_domain(net, k, v), vals)
-            got = scheme.decodings[v][idx]
-            actual = tuple(msg[i - 1] for i in sorted(want))
-            if tuple(got) != actual:
-                failed.add(v)
-    for v in sorted(failed):
-        bad.append(("decode", v))
+    failed = {v for v, idx, want in _decoder_pass(net, scheme) if scheme.decodings[v][idx] != want}
+    bad.extend(("decode", v) for v in sorted(failed))
     return ValidationReport(not bad, tuple(bad))
 
 
 # ---------------------------------------------------------------------------
 # the search engine
-
-
-class _BudgetHit(Exception):
-    pass
-
-
-def _getter(cols: Sequence[int]):
-    """Read a key off a row: a value, a tuple of values, or () for no cols."""
-    return operator.itemgetter(*cols) if cols else (lambda row: ())
 
 
 class _Search:
@@ -314,11 +285,7 @@ class _Search:
                 raise ValueError(f"cannot pin broadcast out-edge {eid!r}")
         self.pinned = frozenset(pinned)
         self.size = {e.id: resolve_size(e.size, k) for e in self.tabled}
-        self.dom_size = {
-            e.id: math.prod([msg_sizes[i - 1] for i in net.source_set(e.tail)]
-                            + [resolve_size(f.size, k) for f in net.in_edges(e.tail)])
-            for e in self.tabled
-        }
+        self.dom_size = {e.id: _domain_size(net, k, e.tail) for e in self.tabled}
         # a demand its own sources satisfy needs nothing; the others make
         # every edge upstream of them relevant
         demands = [v for v in sorted(net.demands) if not net.demands[v] <= net.source_set(v)]
@@ -334,12 +301,11 @@ class _Search:
         self.edges = [e for e in self.tabled if e.id in relevant]
         pos = {e.id: q for q, e in enumerate(self.edges)}
         n = len(self.edges)
-        # row columns and radices of each searched edge's domain index
-        self.dom_cols = []
-        for e in self.edges:
-            cols = [(i - 1, msg_sizes[i - 1]) for i in sorted(net.source_set(e.tail))]
-            cols += [(n_msgs + pos[root[f.id]], resolve_size(f.size, k)) for f in net.in_edges(e.tail)]
-            self.dom_cols.append(cols)
+        # row columns and radices of each searched edge's domain index: a
+        # message's column, or that of the searched edge an in-edge relays
+        # (the in-edges of a searched edge's tail are upstream of a demand too)
+        self.dom_cols = [[(src - 1 if isinstance(src, int) else n_msgs + pos[root[src]], size)
+                          for src, size in table_domain(net, k, e.tail)] for e in self.edges]
         # symmetry-breaking eligibility: every consumer of the edge's value,
         # following forced relays, must be free to relabel (no pinned out-edge)
         self.sym = []
@@ -525,7 +491,7 @@ class _Search:
                     seen, key = trail.pop()
                     del seen[key]
                 if budget is not None and self.searched >= budget:
-                    raise _BudgetHit()
+                    raise BudgetExhausted(self.k)
                 self.searched += 1
                 frame[3] = x
                 frame[7] = blamed
@@ -558,7 +524,7 @@ class _Search:
             for tables in self.solutions(pins, budget):
                 return SolveOutcome(Status.SOLVABLE, _witness(self.net, self.k, tables), self.searched)
             return SolveOutcome(Status.UNSOLVABLE_AT_K, None, self.searched)
-        except _BudgetHit:
+        except BudgetExhausted:
             return SolveOutcome(Status.BUDGET_EXHAUSTED, None, self.searched)
 
 

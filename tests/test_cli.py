@@ -247,6 +247,14 @@ def test_verify_checker_with_family_file(capsys, tmp_path):
     assert code == 0 and doc["family_size"] == 4
 
 
+def test_verify_checker_names_the_malformed_candidate(capsys):
+    # the family's second table (index 1) maps (1, 1) to 5, out of Y's range
+    path = pathlib.Path(__file__).parent / "data" / "xor_family_value_out_of_range.json"
+    assert run(["verify-checker", "xor", "--k", "1", "--family", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "candidate 1: xor_checker.Y: candidate value 5 out of range [0,2)" in err
+
+
 def test_reduce_and_torus(capsys, tmp_path):
     prog = tiling.ConditionProgram(2, (tiling.EdgeOr("h", frozenset({1})),))
     ppath = tmp_path / "prog.json"

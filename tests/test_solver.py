@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from typing import Optional
 
@@ -26,6 +27,7 @@ from pfsnet.solver import (
     solve_at_k,
     _Search,
     solve_up_to,
+    table_domain,
     verify_scheme,
 )
 
@@ -100,6 +102,51 @@ def test_verify_scheme_reports(butterfly):
     del enc3[bottleneck]
     rep3 = verify_scheme(net, CodingScheme(2, enc3, good.decodings))
     assert ("missing-encoding", bottleneck) in rep3.violations
+
+
+def test_verify_scheme_reports_each_rule_once(butterfly):
+    net = butterfly.net
+    good = solve_at_k(net, 2).scheme
+    (bottleneck,) = good.encodings
+    relay = next(e.id for e in net.edges if e.tail in net.broadcast)
+    sink = min(net.demands)
+
+    def violations(encodings=None, decodings=None):
+        scheme = CodingScheme(2, {**good.encodings, **(encodings or {})},
+                              {**good.decodings, **(decodings or {})})
+        return verify_scheme(net, scheme).violations
+
+    assert violations({bottleneck: (0, 1)}) == (("encoding-domain", bottleneck),)
+    assert violations({relay: (0, 1)}) == (("broadcast-table", relay),)
+    assert violations(decodings={sink: good.decodings[sink][:2]}) == (("decoding-domain", sink),)
+    assert violations(decodings={sink: ((0,), (1, 0), (1,), (0,))}) == (("decoding-width", sink),)
+    # two rows out of range: one violation
+    assert violations(decodings={sink: ((2,), (1,), (1,), (3,))}) == (("decoding-range", sink),)
+    # rows are checked up to the first of the wrong width
+    assert violations(decodings={sink: ((2,), (1, 0), (3,), (0,))}) == (
+        ("decoding-range", sink), ("decoding-width", sink))
+    assert violations(decodings={sink: ((0,), (1, 0), (3,), (0,))}) == (("decoding-width", sink),)
+
+
+def test_derived_witness_agrees_with_naive_oracle():
+    # verify_scheme reads every table through table_domain, the naive oracle
+    # through its own index arithmetic: with every encoding pinned, both
+    # decide whether the encodings separate every demand
+    rng = random.Random(20261019)
+    merges = 0
+    for trial in range(150):
+        net = random_micro_net(rng, max_edges=4)
+        merges += any(len(net.in_edges(v)) > 1 for v in net.nodes)
+        for k in (1, 2):
+            enc = {}
+            for e in net.edges:
+                if e.tail not in net.broadcast:
+                    size = resolve_size(e.size, k)
+                    n = math.prod(s for _, s in table_domain(net, k, e.tail))
+                    enc[e.id] = tuple(rng.randrange(size) for _ in range(n))
+            got = verify_scheme(net, derive_decodings(net, k, enc)).ok
+            assert got == naive_solve_at_k(net, k, pins=enc), (trial, k, net, enc)
+    assert merges >= 30  # enough nodes whose tables read two in-edges
 
 
 def test_scheme_json_round_trip(butterfly):
