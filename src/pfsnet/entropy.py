@@ -74,6 +74,19 @@ def determined(rows: Iterable[Sequence], target_cols: Sequence[int],
     return True
 
 
+def determined_columns(columns: Sequence[Sequence], target_cols: Sequence[int],
+                       given_cols: Sequence[int]) -> bool:
+    """``determined`` on a nonempty support stored as ``columns``: H(targets |
+    given) = 0 exactly when the support has as many distinct projections onto
+    ``given_cols`` as onto ``given_cols`` and ``target_cols`` together."""
+    given = [columns[c] for c in given_cols]
+    return _distinct(given) == _distinct(given + [columns[c] for c in target_cols])
+
+
+def _distinct(columns: list) -> int:
+    return len(set(zip(*columns))) if columns else 1
+
+
 def _getter(cols: Sequence[int]):
     """Read a key off a row: a value, a tuple of values, or () for no cols."""
     return operator.itemgetter(*cols) if cols else (lambda row: ())

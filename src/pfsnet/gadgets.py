@@ -11,9 +11,9 @@ are read off those calls: a demand node receiving S for targets T states "T
 is determined by S", an internal signal is an existential variable (any
 function of its inputs into its alphabet), and an output is determined by its
 inputs.  Every constructed gadget therefore has two independent acceptance
-oracles: solvability of the composed network (``accepted_set``) and direct
-enumeration over the declared conditions (``entropy_accepted_set``); the two
-must agree candidate by candidate.
+oracles: solvability of the composed network (``accepted_set``) and a direct
+search over the declared conditions (``entropy_accepted_set``); the two must
+agree candidate by candidate.
 """
 
 from __future__ import annotations
@@ -851,6 +851,12 @@ def accepted_set(gadget: Gadget, family: Sequence, k: int,
     return [entry for entry, outcome in zip(entries, outcomes) if outcome.solvable]
 
 
+def _shape(entry: Mapping[str, CandidateFunction]) -> tuple:
+    """What both oracles build once per candidate: for each pinned port, the
+    candidate's inputs in order, their sizes and its output size."""
+    return tuple((port, cf.inputs, cf.input_sizes, cf.size) for port, cf in sorted(entry.items()))
+
+
 def _pinned_outcomes(gadget: Gadget, entries: Sequence[Mapping[str, CandidateFunction]], k: int,
                      sizes: Mapping) -> Iterator[SolveOutcome]:
     """For each entry in order, the outcome of ``solve_at_k`` on its
@@ -858,15 +864,14 @@ def _pinned_outcomes(gadget: Gadget, entries: Sequence[Mapping[str, CandidateFun
     verified witness.
 
     The embedding and the search setup depend on a candidate only through
-    its shape: for each pinned port, the candidate's inputs in order, their
-    sizes and its output size.  Both are built once per shape, from its
+    its shape (``_shape``), and both are built once per shape, from its
     first candidate.  Each later candidate of the shape is checked against
     the domains that composition pinned, so it raises the ``ComposeError`` a
     fresh composition would (with ``index``, the entry's position), and only
     its pin tables go to a new run of the search (see ``solver._Search``)."""
     setups: dict = {}  # shape -> (embedding, search setup)
     for index, entry in enumerate(entries):
-        shape = tuple((port, cf.inputs, cf.input_sizes, cf.size) for port, cf in sorted(entry.items()))
+        shape = _shape(entry)
         try:
             if shape in setups:
                 comp, search = setups[shape]
@@ -883,36 +888,48 @@ def _pinned_outcomes(gadget: Gadget, entries: Sequence[Mapping[str, CandidateFun
         yield search.decide(pins, None)
 
 
-def _cond_vars(cond) -> set:
-    return set(cond.targets) | set(cond.given)
-
-
-def _cols(conds: Sequence, names: Sequence[str]) -> list:
-    """Each condition's (target columns, given columns) in a row layout."""
-    col = {n: i for i, n in enumerate(names)}
-    return [([col[t] for t in c.targets], [col[g] for g in c.given]) for c in conds]
-
-
-def _holds(cols: list, rows) -> bool:
-    return all(entropy.determined(rows, t, g) for t, g in cols)
-
-
 def entropy_accepted_set(gadget: Gadget, family: Sequence, k: int,
                          sizes: Optional[Mapping] = None) -> list:
-    """Candidates accepted by the declared information conditions: the joint
-    support of messages and candidate outputs is built exactly, and each
-    condition is checked on the support's rows (a conditional gadget's
-    conditions already name its condition ports).  Existential internal
-    signals, the parity signal among them, are enumerated one table per
-    relabelling class: a ``Determined`` condition keeps its truth value when
-    one variable's values are relabelled one-to-one.  A candidate that does
-    not fit its port raises ``ComposeError``, as in ``accepted_set``."""
+    """Candidates accepted by the declared information conditions, on the
+    exact joint support of messages and candidate outputs (a conditional
+    gadget's conditions already name its condition ports).  The support is
+    laid out once per candidate shape, as in ``_pinned_outcomes`` (see
+    ``_SupportLayout``); each candidate adds one column per pinned port.  The
+    conditions that name no existential are decided on the columns; the rest
+    by a search over the existentials' table entries (see ``_entry_tables``).
+    A candidate that does not fit its port raises ``ComposeError`` with the
+    entry's position as ``index``, as in ``accepted_set``."""
     entries = _normalize_family(gadget, family)
+    layouts: dict = {}  # shape -> _SupportLayout
     accepted = []
-    sizes = sizes or {}
-    cache: dict = {}  # existential tables kept by the conditions no candidate changes
-    for entry in entries:
-        variables: dict = {}  # name -> alphabet size, one support column each
+    for index, entry in enumerate(entries):
+        shape = _shape(entry)
+        try:
+            if shape not in layouts:
+                layouts[shape] = _SupportLayout(gadget, entry, k, sizes or {})
+            layout = layouts[shape]
+            columns = layout.columns_of(entry)
+        except ComposeError as exc:
+            exc.index = index
+            raise
+        if layout.holds(columns):
+            accepted.append(entry)
+    return accepted
+
+
+class _SupportLayout:
+    """The joint support of one candidate shape, stored as columns.
+
+    The variables are the message and condition ports, then the candidates'
+    other inputs; the rows are the product of their alphabets, the last
+    varying fastest.  Each pinned port (sorted by name) has its domain and a
+    row -> table index map, so a candidate's column is one lookup per row.
+    Conditions are column lists: ``ready`` ones read only variables and
+    ports, ``pending`` ones also existentials (see ``_entry_tables``)."""
+
+    def __init__(self, gadget: Gadget, entry: Mapping[str, CandidateFunction], k: int,
+                 sizes: Mapping):
+        variables: dict = {}  # name -> alphabet size
         for p in gadget.ports:
             if p.kind in (PortKind.MESSAGE_IN, PortKind.CONDITION_IN):
                 variables[p.name] = resolve_size(_port_size(gadget, p, sizes), k)
@@ -922,122 +939,118 @@ def entropy_accepted_set(gadget: Gadget, family: Sequence, k: int,
                     if sz is None:
                         raise ComposeError(f"{gadget.name}.{port_name}: candidate input {lb!r} has no size")
                     variables[lb] = resolve_size(sz, k)
-        names = list(variables)
-        rows = [list(t) for t in itertools.product(*(range(s) for s in variables.values()))]
-        for port_name, cf in sorted(entry.items()):
+        rows = list(itertools.product(*(range(s) for s in variables.values())))
+        self.n_rows = len(rows)
+        self.base = [list(c) for c in zip(*rows)]
+        col = {name: i for i, name in enumerate(variables)}
+        self.ports = []  # (port, where, size, in_sizes, row -> table index)
+        for i, port_name in enumerate(sorted(entry), start=len(variables)):
             where = f"{gadget.name}.{port_name}"
             port = gadget.port(port_name)
-            domain = cf.inputs if port.kind is PortKind.SIGNAL_IN else _output_domain(where, gadget, port_name)
-            _candidate_values(where, cf, resolve_size(port.size, k), {lb: variables[lb] for lb in domain})
-            cols = [names.index(lb) for lb in cf.inputs]
-            for row in rows:
-                row.append(cf.table[tuple(row[c] for c in cols)])
-            names.append(port_name)
-        if _conditions_hold(gadget.spec, names, rows, list(variables.values()), cache):
-            accepted.append(entry)
-    return accepted
+            domain = (entry[port_name].inputs if port.kind is PortKind.SIGNAL_IN
+                      else _output_domain(where, gadget, port_name))
+            in_sizes = {lb: variables[lb] for lb in domain}
+            size = resolve_size(port.size, k)
+            # so that this port's faults come before a later port's domain fault
+            _candidate_values(where, entry[port_name], size, in_sizes)
+            index = [0] * self.n_rows
+            for lb, s in in_sizes.items():
+                index = [j * s + x for j, x in zip(index, self.base[col[lb]])]
+            self.ports.append((port_name, where, size, in_sizes, index))
+            col[port_name] = i
+        ex = {e.name: i for i, e in enumerate(gadget.spec.existentials)}
+        self.existentials = [([col[lb] for lb in e.inputs], e.size) for e in gadget.spec.existentials]
+        self.ready, self.pending = [], []
+        for c in gadget.spec.conditions:
+            t, g = c.targets, c.given
+            if all(v in col for v in t + g):
+                self.ready.append(([col[v] for v in t], [col[v] for v in g]))
+            else:
+                self.pending.append(([col[v] for v in t if v in col], [ex[v] for v in t if v not in col],
+                                     [col[v] for v in g if v in col], [ex[v] for v in g if v not in col]))
+
+    def columns_of(self, entry: Mapping[str, CandidateFunction]) -> list:
+        """The support columns with ``entry``'s candidates, each checked by
+        ``_candidate_values``."""
+        columns = list(self.base)
+        for port_name, where, size, in_sizes, index in self.ports:
+            values = _candidate_values(where, entry[port_name], size, in_sizes)
+            columns.append(list(map(values.__getitem__, index)))
+        return columns
+
+    def holds(self, columns: list) -> bool:
+        return (all(entropy.determined_columns(columns, t, g) for t, g in self.ready)
+                and next(_entry_tables(self.n_rows, columns, self.existentials, self.pending), None)
+                is not None)
 
 
-def _restricted_growth(n: int, size: int) -> list:
-    """Every table of n values in [0..size) whose values first occur in
-    increasing order, one per class of tables that are equal up to a
-    one-to-one relabelling of the values (restricted growth strings; Knuth,
-    TAOCP 4A, 7.2.1.5), in lexicographic order."""
-    tables = [()]
-    for _ in range(n):
-        tables = [t + (v,) for t in tables for v in range(min(size, max(t, default=-1) + 2))]
-    return tables
+def _entry_tables(n_rows: int, columns: Sequence, existentials: Sequence,
+                  conditions: Sequence) -> Iterator[dict]:
+    """Tables of the existentials on which every condition holds, one per
+    class of tables equal up to relabelling each existential's values
+    (exact: a ``Determined`` condition keeps its truth value under such a
+    relabelling), as ``{(existential, input projection): value}``.
 
-
-def _filter_existential(ex: ExistentialVar, conds: list, names: list, rows: list,
-                        sizes: list, cache: dict) -> list:
-    """One table per relabelling class for one existential, kept when it
-    satisfies the conditions involving only that existential, as value rows
-    aligned with ``rows``.
-
-    The first ``len(sizes)`` columns of ``rows`` span the full product of
-    alphabets of those sizes.  When the existential reads only such columns,
-    the conditions that read only such columns too keep the same tables
-    whatever the later columns hold: their survivors are computed once per
-    ``cache``, on the product of the columns they read, and only the other
-    conditions are checked on ``rows``."""
-    free = dict(zip(names, sizes))
-    tables = None
-    if set(ex.inputs) <= free.keys():
-        early = tuple(c for c in conds if _cond_vars(c) - {ex.name} <= free.keys())
-        if early:
-            conds = [c for c in conds if c not in early]
-            read = sorted(set(ex.inputs).union(*map(_cond_vars, early)) - {ex.name})
-            key = (ex, early, tuple(free[v] for v in read))
-            if key not in cache:
-                product = list(itertools.product(*(range(free[v]) for v in read)))
-                cache[key] = [values for values, _ in _survivors(ex, early, read, product)]
-            tables = cache[key]
-    return [col for _, col in _survivors(ex, conds, names, rows, tables)]
-
-
-def _survivors(ex: ExistentialVar, conds: list, names: list, rows: list, tables=None):
-    """(table, column) for each of ``tables`` (by default every restricted
-    growth table) that satisfies ``conds``, where a table lists the
-    existential's values over its sorted input domain and the column aligns
-    them with ``rows``."""
-    in_cols = [names.index(lb) for lb in ex.inputs]
-    ref = sorted({v for c in conds for v in _cond_vars(c)} - {ex.name})
-    ref_cols = [names.index(v) for v in ref]
-    keys = [tuple(r[c] for c in in_cols) for r in rows]
-    refs = [tuple(r[c] for c in ref_cols) for r in rows]
-    domain = sorted(set(keys))
-    cols = _cols(conds, ref + [ex.name])
-    for values in _restricted_growth(len(domain), ex.size) if tables is None else tables:
-        lut = dict(zip(domain, values))
-        col = [lut[key] for key in keys]
-        if _holds(cols, {rv + (cv,) for rv, cv in zip(refs, col)}):
-            yield values, col
-
-
-def _conditions_hold(spec: ConditionSpec, names: list, rows: list, sizes: list,
-                     cache: dict) -> bool:
-    available = set(names)
-    ready = [c for c in spec.conditions if _cond_vars(c) <= available]
-    pending = [c for c in spec.conditions if not _cond_vars(c) <= available]
-    if not _holds(_cols(ready, names), rows):
-        return False
-    if not spec.existentials:
-        return not pending
-    # partition: conditions touching exactly one existential filter that
-    # existential's tables independently (a Determined condition depends only
-    # on the projected support set); the rest join
-    unary: dict = {e.name: [] for e in spec.existentials}
-    joint: list = []
-    exnames = set(unary)
-    for c in pending:
-        touched = _cond_vars(c) & exnames
-        if len(touched) == 1:
-            unary[touched.pop()].append(c)
+    ``existentials`` gives each one's (input columns, size); a condition
+    names at least one existential and is (target columns, target
+    existentials, given columns, given existentials).  An entry is one
+    existential's value at one projection of the rows onto its inputs.  One
+    depth-first search sets the entries existential by existential, each
+    one's in the order the rows first reach them, with restricted growth (a
+    value at most one above the existential's earlier values; Knuth, TAOCP
+    4A, 7.2.1.5).  Each
+    condition is checked on a row as soon as the last entry the row reads is
+    set (Haralick and Elliott 1980): the row's given values are stored as a
+    key with its target values, and a key stored with other target values is
+    a conflict.  A trail undoes the stored keys on backtrack."""
+    entries: dict = {}  # (existential, input projection) -> position in the search
+    at = [[0] * n_rows for _ in existentials]  # existential, row -> entry
+    keys = [list(zip(*(columns[c] for c in ins))) if ins else [()] * n_rows for ins, _ in existentials]
+    for e, key in enumerate(keys):
+        for r in range(n_rows):
+            at[e][r] = entries.setdefault((e, key[r]), len(entries))
+    checks: list = [[] for _ in entries]  # entry -> rows checked once it is set
+    for t_cols, t_ex, g_cols, g_ex in conditions:
+        seen: dict = {}  # given values -> target values, on the rows checked so far
+        rows = {(tuple(columns[c][r] for c in g_cols), tuple(at[e][r] for e in g_ex),
+                 tuple(columns[c][r] for c in t_cols), tuple(at[e][r] for e in t_ex))
+                for r in range(n_rows)}
+        for row in rows:
+            checks[max(row[1] + row[3])].append((seen,) + row)
+    owner = [e for e, _ in entries]
+    n = len(owner)
+    vals, used = [-1] * n, [0] * n  # used: the existential's distinct values up to here
+    trail, marks = [], []  # stored (seen, key); trail length when each value was set
+    d = 0
+    while d >= 0:
+        if d == n:
+            yield dict(zip(entries, vals))
+            d -= 1
+            continue
+        if vals[d] >= 0:  # undo the value tried last
+            mark = marks.pop()
+            for seen, key in trail[mark:]:
+                del seen[key]
+            del trail[mark:]
+        v = vals[d] = vals[d] + 1
+        before = used[d - 1] if d and owner[d - 1] == owner[d] else 0
+        if v > before or v >= existentials[owner[d]][1]:
+            vals[d] = -1
+            d -= 1
+            continue
+        used[d] = max(before, v + 1)
+        marks.append(len(trail))
+        for seen, g_fix, g_ent, t_fix, t_ent in checks[d]:
+            key = g_fix + tuple([vals[i] for i in g_ent])
+            val = t_fix + tuple([vals[i] for i in t_ent])
+            old = seen.get(key)
+            if old is None:
+                seen[key] = val
+                trail.append((seen, key))
+            elif old != val:
+                break
         else:
-            joint.append(c)
-    choices = {ex.name: _filter_existential(ex, unary[ex.name], names, rows, sizes, cache)
-               for ex in spec.existentials}
-    if not all(choices.values()):
-        return False
-    if not joint:
-        return True
-    # the joint conditions see the columns they read and the existentials
-    # they name, each a function of its inputs; so one row per distinct
-    # projection onto those columns and inputs carries all they see
-    joint_vars = set().union(*map(_cond_vars, joint))
-    read = [c for c, v in enumerate(names) if v in joint_vars]
-    used = [ex for ex in spec.existentials if ex.name in joint_vars]
-    key_cols = sorted(set(read).union(names.index(lb) for ex in used for lb in ex.inputs))
-    reps = list({tuple(r[c] for c in key_cols): i for i, r in enumerate(rows)}.values())
-    base = [tuple(rows[i][c] for c in read) for i in reps]
-    for ex in used:  # in place, so that one copy of the columns is alive
-        choices[ex.name] = [[col[i] for i in reps] for col in choices[ex.name]]
-    cols = _cols(joint, [names[c] for c in read] + [ex.name for ex in used])
-    for combo in itertools.product(*(choices[ex.name] for ex in used)):
-        if _holds(cols, {b + values for b, values in zip(base, zip(*combo))}):
-            return True
-    return False
+            d += 1
 
 
 # ---------------------------------------------------------------------------

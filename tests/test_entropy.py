@@ -8,6 +8,7 @@ from pfsnet.entropy import (
     UniformSupport,
     check,
     determined,
+    determined_columns,
     support_of_scheme,
 )
 from pfsnet.solver import solve_at_k, verify_scheme
@@ -195,3 +196,16 @@ def test_determined_invariant_under_relabelling(dist, data):
     rows = sorted(dist.support)
     relabelled = [r[:col] + (perm[r[col]],) + r[col + 1:] for r in rows]
     assert determined(relabelled, t, g) == determined(rows, t, g)
+
+
+@given(supports(), st.data())
+def test_determined_columns_equals_row_definition(dist, data):
+    # the entropy oracle decides conditions on columns by counting distinct
+    # projections; column lists may be empty and may repeat a column
+    width = len(dist.variables)
+    cols = st.lists(st.integers(0, width - 1), max_size=width + 1)
+    t = data.draw(cols)
+    g = data.draw(cols)
+    rows = sorted(dist.support)
+    columns = [list(c) for c in zip(*rows)]
+    assert determined_columns(columns, t, g) == determined(rows, t, g)

@@ -1,12 +1,14 @@
 import itertools
 import json
+import math
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from pfsnet import families as F
 from pfsnet import gadgets as G
-from pfsnet.entropy import Determined, check, support_of_scheme
+from pfsnet.entropy import Determined, check, determined, support_of_scheme
 from pfsnet.model import DEFAULT, fixed, validate
 from pfsnet.solver import SolveOptions, enumerate_solutions, solve_at_k, verify_scheme
 
@@ -86,9 +88,7 @@ def cond_switch_entry(z0, z1):
 
 def test_cond_switch_double_oracle():
     # a conditional switch is a switch on each slice W = w, so exactly the
-    # pairs that are a switch with output flips on both slices are accepted.
-    # The parity signal's own conditions read only messages and W, so the
-    # entropy oracle filters its tables once for the whole family
+    # pairs that are a switch with output flips on both slices are accepted
     keys = list(itertools.product((0, 1), repeat=3))
     switches = [F.switch_pair(*s) for s in itertools.product((0, 1), repeat=3)]
     expect = [cond_switch_entry(*({key: slices[key[2]][z].table[key[:2]] for key in keys}
@@ -115,13 +115,96 @@ def entry_keys(entries):
 @pytest.mark.parametrize("n", range(6))
 @pytest.mark.parametrize("size", range(1, 5))
 def test_restricted_growth_is_one_table_per_relabelling_class(n, size):
-    def canonical(t):
-        first: dict = {}
-        return tuple(first.setdefault(x, len(first)) for x in t)
+    # the entropy oracle's entry search, on an existential with n entries
+    # and a condition that never prunes (E is determined by E), visits
+    # exactly one table per class of tables equal up to relabelling
+    never_prunes = ([], [0], [], [0])
+    found = [tuple(t[(0, (x,))] for x in range(n))
+             for t in G._entry_tables(n, [list(range(n))], [([0], size)], [never_prunes])]
+    classes = {canonical(t) for t in found}
+    assert len(classes) == len(found)
+    assert classes == {canonical(t) for t in itertools.product(range(size), repeat=n)}
 
-    tables = G._restricted_growth(n, size)
-    assert len(tables) == len(set(tables))
-    assert set(tables) == {canonical(t) for t in itertools.product(range(size), repeat=n)}
+
+@st.composite
+def existential_specs(draw, budget=512):
+    """1-3 base variables of size 2-3, 1-2 existentials of size 1-3 over
+    random subsets of them, and 1-4 random Determined conditions.  Each
+    existential's inputs are dropped from the end until the existentials so
+    far have at most ``budget`` tables together, or it has none, to keep the
+    brute force small."""
+    base = {f"A{i}": draw(st.integers(2, 3)) for i in range(draw(st.integers(1, 3)))}
+    exs, tables = [], 1
+    for i in range(draw(st.integers(1, 2))):
+        inputs = draw(st.lists(st.sampled_from(list(base)), unique=True))
+        size = draw(st.integers(1, 3))
+        while inputs and tables * size ** math.prod(base[v] for v in inputs) > budget:
+            inputs.pop()
+        tables *= size ** math.prod(base[v] for v in inputs)
+        exs.append((f"E{i}", inputs, size))
+    names = list(base) + [name for name, _, _ in exs]
+    conds = [(draw(st.lists(st.sampled_from(names), min_size=1, unique=True)),
+              draw(st.lists(st.sampled_from(names), unique=True)))
+             for _ in range(draw(st.integers(1, 4)))]
+    return base, exs, conds
+
+
+def canonical(t):
+    """The table in its relabelling class's form: values renumbered in the
+    order they first occur."""
+    first: dict = {}
+    return tuple(first.setdefault(x, len(first)) for x in t)
+
+
+def input_domains(base, exs) -> list:
+    """Each existential's sorted projections of the base product onto its
+    inputs."""
+    rows = list(itertools.product(*(range(s) for s in base.values())))
+    return [sorted({tuple(r[list(base).index(v)] for v in inputs) for r in rows}) for _, inputs, _ in exs]
+
+
+def brute_force_tables(base, exs, conds) -> set:
+    """Every table of every existential on which every condition holds, with
+    no relabelling reduction and no pruning; a found table is given as one
+    canonical table per existential over its sorted input projections."""
+    rows = list(itertools.product(*(range(s) for s in base.values())))
+    pos = {v: i for i, v in enumerate(base)}
+    col = {v: i for i, v in enumerate(list(base) + [name for name, _, _ in exs])}
+    domains = input_domains(base, exs)
+    spaces = [itertools.product(range(size), repeat=len(dom)) for (_, _, size), dom in zip(exs, domains)]
+    found = set()
+    for tables in itertools.product(*spaces):
+        luts = [dict(zip(dom, t)) for dom, t in zip(domains, tables)]
+        full = [r + tuple(lut[tuple(r[pos[v]] for v in inputs)] for lut, (_, inputs, _) in zip(luts, exs))
+                for r in rows]
+        if all(determined(full, [col[v] for v in t], [col[v] for v in g]) for t, g in conds):
+            found.add(tuple(map(canonical, tables)))
+    return found
+
+
+@given(existential_specs())
+# a row read before its last entry is set; a stored key kept after backtrack
+@example(({"A0": 2}, [("E0", [], 1), ("E1", ["A0"], 2)], [(["A0", "E0"], ["E1"])]))
+@example(({"A0": 2}, [("E1", ["A0"], 2)], [(["E1"], ["A0"])]))
+def test_entry_search_agrees_with_brute_force(spec):
+    base, exs, conds = spec
+    b = G._Builder("random_spec")
+    for name, size in base.items():
+        b.message_in(name, size)
+    for name, inputs, size in exs:
+        b.internal(name, inputs, size)
+    for i, (targets, given) in enumerate(conds):
+        b.demand(f"d{i}", targets, given)
+    gadget = b.build()
+    assert bool(G.entropy_accepted_set(gadget, [{}], 1)) == bool(brute_force_tables(base, exs, conds))
+    # the search alone, on the conditions that name an existential: the
+    # tables it finds are one per relabelling class of the solutions
+    layout = G._SupportLayout(gadget, {}, 1, {})
+    found = [tuple(canonical(tuple(t[(e, key)] for key in dom)) for e, dom in enumerate(input_domains(base, exs)))
+             for t in G._entry_tables(layout.n_rows, layout.base, layout.existentials, layout.pending)]
+    pending = [(t, g) for t, g in conds if not set(t + g) <= set(base)]
+    assert len(set(found)) == len(found)
+    assert set(found) == brute_force_tables(base, exs, pending)
 
 
 def test_xor_checker_accepts_parity_only():
@@ -548,6 +631,7 @@ def test_both_oracles_refuse_malformed_candidates(ctor, entry, well):
             with pytest.raises(G.ComposeError) as later:
                 oracle(ctor(), [well, well, entry, well], 2)
             assert str(later.value) == str(alone.value)
+            assert later.value.index == 2
 
 
 def test_gadget_catalog_and_json():
