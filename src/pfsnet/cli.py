@@ -9,6 +9,7 @@ export-dot emits a JSON object on stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -90,6 +91,8 @@ def _add_solver_flags(p) -> None:
     p.add_argument("--no-symmetry", action="store_true", help="disable symmetry breaking")
 
 
+# built once per process: parse_args returns a fresh Namespace on every call
+@functools.cache
 def _build_parser() -> _Parser:
     p = _Parser(prog="pfsnet", description="exact tools for partially fixed-size network coding")
     sub = p.add_subparsers(dest="command", required=True)
@@ -390,9 +393,8 @@ _DRIVERS = {
 def run(argv=None) -> int:
     """Parse arguments, dispatch, and return the exit code.  Input errors
     exit 3; any other exception is an internal error and propagates."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return _DRIVERS[args.command](args)
     except (_UsageError, FormatError, InvalidNetwork, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -553,8 +553,8 @@ def _as_label_tuple(binding: Binding) -> Optional[tuple]:
 class _Composer:
     def __init__(self, messages: Mapping[str, object], k: Optional[int]):
         self.k = k
-        self.labels: list = []
-        self.specs: dict = {}
+        self.specs: dict = {}  # label -> size, in message-index order
+        self.indices: dict = {}  # label -> 1-based message index
         for label, size in messages.items():
             self._add_message(label, size)
         self.nodes: list = []
@@ -573,11 +573,11 @@ class _Composer:
             if self.specs[label] != spec:
                 raise ComposeError(f"message {label!r} bound with conflicting sizes")
             return
-        self.labels.append(label)
         self.specs[label] = spec
+        self.indices[label] = len(self.indices) + 1
 
     def index(self, label: str) -> int:
-        return self.labels.index(label) + 1
+        return self.indices[label]
 
     def _check_message_port(self, part: str, port: Port, labels: tuple) -> None:
         if not labels:
@@ -754,7 +754,7 @@ class _Composer:
         net = Network(
             nodes=tuple(self.nodes),
             edges=tuple(self.edges),
-            messages=tuple(self.specs[lb] for lb in self.labels),
+            messages=tuple(self.specs.values()),
             sources=self.sources,
             demands=self.demands,
             broadcast=frozenset(self.broadcast),
@@ -762,7 +762,7 @@ class _Composer:
         return Composition(
             net=net,
             pins=dict(self.pins),
-            message_index={lb: i + 1 for i, lb in enumerate(self.labels)},
+            message_index=dict(self.indices),
             out_edges=dict(self.out_edges),
             pin_domains=dict(self.pin_domains),
         )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
@@ -279,26 +280,48 @@ def canonicalize(net: Network) -> Network:
 # serialization (json) and graphviz export
 
 
-def to_json_dict(net: Network) -> dict:
-    return {
-        "version": 1,
-        "nodes": [{"id": v, "broadcast": v in net.broadcast} for v in sorted(net.nodes)],
-        "edges": [
-            {"id": e.id, "tail": e.tail, "head": e.head, "size": e.size.value}
-            for e in sorted(net.edges, key=lambda e: e.id)
-        ],
-        "messages": [m.value for m in net.messages],
-        "sources": {v: sorted(net.sources[v]) for v in sorted(net.sources)},
-        "demands": {v: sorted(net.demands[v]) for v in sorted(net.demands)},
-    }
+def _json_block(items: list, brackets: str, pad: str) -> str:
+    """A JSON array or object laid out as ``json.dumps(indent=2)`` does, from
+    its items already indented; ``pad`` indents the closing bracket."""
+    if not items:
+        return brackets
+    return brackets[0] + "\n" + ",\n".join(items) + "\n" + pad + brackets[1]
+
+
+def _index_map_json(mapping: Mapping[str, frozenset]) -> str:
+    return _json_block([
+        f"    {_quote(v)}: " + _json_block([f"      {i}" for i in sorted(mapping[v])], "[]", "    ")
+        for v in sorted(mapping)
+    ], "{}", "  ")
 
 
 def serialize(net: Network) -> str:
-    """Canonical JSON text; stable byte-for-byte for a given network."""
+    """Canonical JSON text, stable byte-for-byte for a given network: the
+    ASCII text ``json.dumps(doc, indent=2, sort_keys=True)`` would give,
+    written directly, with nodes and edges sorted by id."""
     rep = validate(net)
     if not rep.ok:
         raise InvalidNetwork(f"cannot serialize invalid network: {rep.violations}")
-    return json.dumps(to_json_dict(net), indent=2, sort_keys=True) + "\n"
+    nodes = [
+        f'    {{\n      "broadcast": {"true" if v in net.broadcast else "false"},\n'
+        f'      "id": {_quote(v)}\n    }}'
+        for v in sorted(net.nodes)
+    ]
+    edges = [
+        f'    {{\n      "head": {_quote(e.head)},\n      "id": {_quote(e.id)},\n'
+        f'      "size": {"null" if e.size.value is None else e.size.value},\n'
+        f'      "tail": {_quote(e.tail)}\n    }}'
+        for e in sorted(net.edges, key=lambda e: e.id)
+    ]
+    messages = [f"    {'null' if m.value is None else m.value}" for m in net.messages]
+    return (
+        f'{{\n  "demands": {_index_map_json(net.demands)},\n'
+        f'  "edges": {_json_block(edges, "[]", "  ")},\n'
+        f'  "messages": {_json_block(messages, "[]", "  ")},\n'
+        f'  "nodes": {_json_block(nodes, "[]", "  ")},\n'
+        f'  "sources": {_index_map_json(net.sources)},\n'
+        '  "version": 1\n}\n'
+    )
 
 
 def _require(doc: Mapping, key: str, where: str = "document") -> object:
@@ -307,18 +330,26 @@ def _require(doc: Mapping, key: str, where: str = "document") -> object:
     return doc[key]
 
 
-def _require_str(doc: Mapping, key: str, where: str) -> str:
-    raw = _require(doc, key, where)
-    if not isinstance(raw, str):
-        raise FormatError(f"{where}.{key}: expected string")
-    return raw
-
-
 def _require_list(doc: Mapping, key: str) -> list:
     raw = _require(doc, key)
     if not isinstance(raw, list):
         raise FormatError(f"{key}: expected a list")
     return raw
+
+
+def _raise_item_fault(where: str, item: object, fields: tuple) -> None:
+    """Raise the FormatError for the first faulty field of a node or edge
+    object, checking ``fields`` (key, type; None for a size) in order;
+    ``deserialize`` calls it only for an item that failed its fast check."""
+    if not isinstance(item, dict):
+        raise FormatError(f"{where}: expected an object")
+    for key, kind in fields:
+        raw = _require(item, key, where)
+        if kind is None:
+            size_from_json(raw, where)
+        elif type(raw) is not kind:
+            raise FormatError(f"{where}.{key}: expected {'string' if kind is str else 'a boolean'}")
+    raise AssertionError(f"{where}: no fault found")
 
 
 def deserialize(text: str) -> Network:
@@ -329,42 +360,34 @@ def deserialize(text: str) -> Network:
     if not isinstance(doc, dict):
         raise FormatError("document: expected a JSON object")
     version = _require(doc, "version")
-    if version != 1:
+    if type(version) is not int or version != 1:
         raise FormatError(f"version: unsupported {version!r}")
-    raw_nodes = _require_list(doc, "nodes")
+    # one pass per list; a location string is built only for a faulty item
     nodes, broadcast = [], set()
-    for i, nd in enumerate(raw_nodes):
-        where = f"nodes[{i}]"
-        if not isinstance(nd, dict):
-            raise FormatError(f"{where}: expected an object")
-        nid = _require_str(nd, "id", where)
-        nodes.append(nid)
-        if _require(nd, "broadcast", where):
-            broadcast.add(nid)
+    for nd in _require_list(doc, "nodes"):
+        if type(nd) is not dict or type(nd.get("id")) is not str or type(nd.get("broadcast")) is not bool:
+            _raise_item_fault(f"nodes[{len(nodes)}]", nd, (("id", str), ("broadcast", bool)))
+        nodes.append(nd["id"])
+        if nd["broadcast"]:
+            broadcast.add(nd["id"])
+    sizes = {None: DEFAULT}  # one SizeSpec per distinct size
     edges = []
-    for i, ed in enumerate(_require_list(doc, "edges")):
-        where = f"edges[{i}]"
-        if not isinstance(ed, dict):
-            raise FormatError(f"{where}: expected an object")
-        edges.append(
-            Edge(
-                id=_require_str(ed, "id", where),
-                tail=_require_str(ed, "tail", where),
-                head=_require_str(ed, "head", where),
-                size=size_from_json(_require(ed, "size", where), where),
-            )
-        )
+    for ed in _require_list(doc, "edges"):
+        ok = type(ed) is dict and type(ed.get("id")) is str and type(ed.get("tail")) is str and type(ed.get("head")) is str
+        raw = ed.get("size", 0) if ok else None
+        if not ok or raw is not None and (type(raw) is not int or raw < 1):
+            fields = (("id", str), ("tail", str), ("head", str), ("size", None))
+            _raise_item_fault(f"edges[{len(edges)}]", ed, fields)
+        edges.append(Edge(ed["id"], ed["tail"], ed["head"], sizes.get(raw) or sizes.setdefault(raw, SizeSpec(raw))))
     messages = [size_from_json(m, f"messages[{i}]") for i, m in enumerate(_require_list(doc, "messages"))]
     def load_map(key: str) -> dict:
         raw = _require(doc, key)
         if not isinstance(raw, dict):
             raise FormatError(f"{key}: expected an object")
-        out = {}
         for v, idxs in raw.items():
-            if not isinstance(idxs, list) or not all(isinstance(i, int) and not isinstance(i, bool) for i in idxs):
+            if type(idxs) is not list or not all(type(i) is int for i in idxs):
                 raise FormatError(f"{key}[{v}]: expected a list of ints")
-            out[v] = idxs
-        return out
+        return raw
     return Network(
         nodes=tuple(nodes),
         edges=tuple(edges),

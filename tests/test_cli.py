@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -116,6 +119,10 @@ def input_files(butterfly_file, tmp_path):
         "net_nodes_int": json.dumps(dict(net, nodes=5)),
         "net_messages_int": json.dumps(dict(net, messages=5)),
         "net_edge_id_obj": json.dumps(dict(net, edges=[dict(net["edges"][0], id={"x": 1}), *net["edges"][1:]])),
+        "net_broadcast_str": json.dumps(dict(net, nodes=[dict(net["nodes"][0], broadcast="false"), *net["nodes"][1:]])),
+        "net_broadcast_int": json.dumps(dict(net, nodes=[dict(net["nodes"][0], broadcast=1), *net["nodes"][1:]])),
+        "net_version_true": json.dumps(dict(net, version=True)),
+        "net_version_float": json.dumps(dict(net, version=1.0)),
         "program": tiling.program_to_json(tiling.ConditionProgram(2, ())),
         "program_conditions_str": json.dumps({"colors": 2, "conditions": "x"}),
         "program_conditions_int": json.dumps({"colors": 2, "conditions": [1]}),
@@ -156,6 +163,10 @@ def input_files(butterfly_file, tmp_path):
     ["solve", "{net_nodes_int}", "--k", "1"],
     ["solve", "{net_messages_int}", "--k", "1"],
     ["solve", "{net_edge_id_obj}", "--k", "1"],
+    ["validate", "{net_broadcast_str}"],
+    ["validate", "{net_broadcast_int}"],
+    ["validate", "{net_version_true}"],
+    ["validate", "{net_version_float}"],
     ["index", "{instance}", "--k", "1", "--cap", "-1"],
     ["index", "{instance}", "--k", "1", "--budget", "-1"],
     ["torus", "{program}", "--width", "2", "--height", "2", "--cap", "-1"],
@@ -164,6 +175,35 @@ def test_input_errors_exit_3(capsys, input_files, argv):
     assert main([a.format(**input_files) for a in argv]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")
+
+
+def test_parser_reuse_matches_fresh_runs(capsys):
+    """One process runs ``run`` several times on one parser; each call's exit
+    code and stdout equal those of a fresh process, so no option carries
+    over from an earlier call."""
+    net = str(pathlib.Path(__file__).parent / "data" / "butterfly.json")
+    calls = [
+        ["solve", net, "--k", "2", "--budget", "1"],
+        ["solve", net, "--k", "2"],
+        ["solve", net, "--k", "3", "--no-symmetry"],
+        ["solve", net, "--k", "3"],
+        ["solve", "--k"],
+        ["validate", net],
+    ]
+    reused = []
+    for argv in calls:
+        code = run(argv)
+        reused.append((code, capsys.readouterr().out))
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "pfsnet", *argv], capture_output=True, text=True, env=env)
+        fresh.append((proc.returncode, proc.stdout))
+    assert [code for code, _ in reused] == [2, 0, 0, 0, 3, 0]
+    # symmetry breaking changes the trial count here, so a leaked flag shows
+    assert json.loads(reused[2][1])["searched"] != json.loads(reused[3][1])["searched"]
+    assert reused == fresh
 
 
 @pytest.mark.parametrize("exc", [KeyError("k"), ValueError("v"), AssertionError("a")],

@@ -1,8 +1,10 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from pfsnet import cli, gadgets, tiling
 from pfsnet.model import (
     DEFAULT,
     Edge,
@@ -140,6 +142,72 @@ def test_serialize_round_trip(butterfly, classic_butterfly):
         assert validate(again).ok
 
 
+def reference_serialize(net: Network) -> str:
+    """The canonical text as ``json.dumps`` writes it from the document's
+    dict form; ``serialize`` writes the same bytes directly."""
+    doc = {
+        "version": 1,
+        "nodes": [{"id": v, "broadcast": v in net.broadcast} for v in sorted(net.nodes)],
+        "edges": [
+            {"id": e.id, "tail": e.tail, "head": e.head, "size": e.size.value}
+            for e in sorted(net.edges, key=lambda e: e.id)
+        ],
+        "messages": [m.value for m in net.messages],
+        "sources": {v: sorted(net.sources[v]) for v in sorted(net.sources)},
+        "demands": {v: sorted(net.demands[v]) for v in sorted(net.demands)},
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _seeded_program(n_colors: int, seed: int) -> tiling.ConditionProgram:
+    rng = random.Random(seed)
+    subsets = tiling.color_subsets(n_colors)
+    conds = [tiling.EdgeEq(rng.choice("hv"), rng.choice(subsets)),
+             tiling.EdgeOr(rng.choice("hv"), rng.choice(subsets)),
+             tiling.FaceOr(rng.choice(("11", "22")), rng.choice(subsets))]
+    rng.shuffle(conds)
+    return tiling.ConditionProgram(n_colors, tuple(conds[:rng.randint(0, 3)]))
+
+
+def _gadget_build_net(argv: list) -> Network:
+    """The network ``pfsnet gadget-build`` writes for ``argv``."""
+    args = cli._build_parser().parse_args(["gadget-build", *argv])
+    g = cli._make_gadget(args)
+    unsized = [p.name for p in g.ports if p.size is None]
+    return gadgets._embedding(g, {}, None, dict.fromkeys(unsized, args.b)).net
+
+
+# ids that need escaping, in an order that differs from tail, head and
+# insertion order, so that any edge order but by id shows
+_ESCAPED = Network(
+    nodes=("z\u00e9", 'q"uote', "back\\slash", "\u2603", "tab\t"),
+    edges=(Edge("\u00ff>1", "z\u00e9", 'q"uote', fixed(3)), Edge('"0', 'q"uote', "back\\slash", DEFAULT),
+           Edge("\\e", "z\u00e9", "\u2603", fixed(2)), Edge("a\n", "\u2603", "tab\t", DEFAULT)),
+    messages=(fixed(2), DEFAULT),
+    sources={"z\u00e9": {2, 1}},
+    demands={"back\\slash": {1}, "tab\t": {2, 1}},
+    broadcast={'q"uote'},
+)
+
+
+@pytest.mark.parametrize("build", [
+    *(pytest.param(lambda n=n, seed=seed: tiling.reduce(_seeded_program(n, seed)), id=f"reduce-{n}colors-seed{seed}")
+      for n in range(2, 7) for seed in (1, 2)),
+    *(pytest.param(lambda argv=[name, "--b", "2", *(["--n", "2"] if name == "set" else []), *w]: _gadget_build_net(argv),
+                   id="gadget-build-" + "-".join([name, *w]).replace("--", ""))
+      for name in sorted(gadgets.catalog()) for w in ([], ["--w", "2"])),
+    pytest.param(lambda: _ESCAPED, id="escaped-ids"),
+    pytest.param(lambda: Network(("a", "b"), (Edge("e", "a", "b", DEFAULT),), (), {}, {}), id="no-sources-or-demands"),
+    pytest.param(lambda: Network((), (), (), {}, {}), id="empty"),
+])
+def test_serialize_matches_json_dumps_reference(build):
+    net = build()
+    text = serialize(net)
+    assert text == reference_serialize(net)
+    assert text.isascii()
+    assert serialize(deserialize(text)) == text
+
+
 def test_deserialize_errors():
     with pytest.raises(FormatError, match="missing field 'messages'"):
         deserialize(json.dumps({"version": 1, "nodes": [], "edges": [],
@@ -156,6 +224,43 @@ def test_deserialize_errors():
         edge = dict(doc["edges"][0], size=2, **{field: bad})
         with pytest.raises(FormatError, match=rf"edges\[0\]\.{field}: expected string"):
             deserialize(json.dumps(dict(doc, edges=[edge])))
+    # broadcast is a JSON boolean and version the integer 1, not a value
+    # that merely compares equal or is truthy
+    for bad in ("false", 1, None):
+        nodes = [{"id": "a", "broadcast": bad}]
+        with pytest.raises(FormatError, match=r"nodes\[0\]\.broadcast: expected a boolean"):
+            deserialize(json.dumps(dict(doc, nodes=nodes, edges=[])))
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(FormatError, match="version: unsupported"):
+            deserialize(json.dumps(dict(doc, version=bad, edges=[])))
+
+
+def test_deserialize_errors_name_the_faulty_item():
+    doc = {"version": 1,
+           "nodes": [{"id": f"n{i}", "broadcast": False} for i in range(5)],
+           "edges": [{"id": f"e{i}", "tail": f"n{i % 4}", "head": f"n{i % 4 + 1}", "size": 2} for i in range(9)],
+           "messages": [2], "sources": {"n0": [1]}, "demands": {"n4": [1]}}
+    assert len(deserialize(json.dumps(doc)).edges) == 9
+
+    def fault(key: str, index: int, item: object) -> str:
+        items = list(doc[key])
+        items[index] = item
+        return json.dumps(dict(doc, **{key: items}))
+
+    for text, where in (
+        (fault("nodes", 3, {"id": "n3"}), r"nodes\[3\]: missing field 'broadcast'"),
+        (fault("nodes", 3, {"id": 3, "broadcast": False}), r"nodes\[3\]\.id: expected string"),
+        (fault("nodes", 3, ["n3"]), r"nodes\[3\]: expected an object"),
+        (fault("edges", 7, dict(doc["edges"][7], size="2")), r"edges\[7\]: size must be int or null"),
+        (fault("edges", 7, dict(doc["edges"][7], size=0)), r"edges\[7\]: size must be >=1"),
+        (fault("edges", 7, {"id": "e7", "head": "n4", "size": 2}), r"edges\[7\]: missing field 'tail'"),
+        (fault("edges", 7, dict(doc["edges"][7], head=4)), r"edges\[7\]\.head: expected string"),
+        (fault("edges", 7, 7), r"edges\[7\]: expected an object"),
+        (json.dumps(dict(doc, sources={"n0": [1], "n2": [1, "1"]})), r"sources\[n2\]: expected a list of ints"),
+        (json.dumps(dict(doc, demands={"n4": [1], "n3": 1})), r"demands\[n3\]: expected a list of ints"),
+    ):
+        with pytest.raises(FormatError, match=where):
+            deserialize(text)
 
 
 def test_to_dot(butterfly):
@@ -190,4 +295,5 @@ def test_canonicalize_preserves_solvability(net):
 @given(micro_nets())
 def test_serialize_round_trips_on_random_nets(net):
     text = serialize(net)
+    assert text == reference_serialize(net)
     assert serialize(deserialize(text)) == text
