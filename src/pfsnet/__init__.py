@@ -18,12 +18,7 @@ from .model import (
     topo_order,
     validate,
 )
-from .entropy import (
-    Determined,
-    UniformSupport,
-    check,
-    support_of_scheme,
-)
+from .entropy import Determined, check
 from .solver import (
     BudgetExhausted,
     SolveOptions,

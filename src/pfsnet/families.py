@@ -7,7 +7,7 @@ import json
 from typing import Mapping, Optional, Sequence
 
 from .gadgets import CandidateFunction
-from .model import DEFAULT, FormatError, fixed
+from .model import DEFAULT, FormatError, fixed, size_from_json
 
 
 def all_functions(
@@ -141,18 +141,6 @@ def set_family(n: int) -> list:
     return [set_entry(theta) for theta in itertools.product((0, 1), repeat=n)]
 
 
-def rename_inputs(cf: CandidateFunction, mapping: Mapping[str, str]) -> CandidateFunction:
-    """Same function with its input labels renamed (for compositions whose
-    message labels differ from the acceptance-test port names)."""
-    return CandidateFunction(
-        output=cf.output,
-        inputs=tuple(mapping.get(lb, lb) for lb in cf.inputs),
-        table=cf.table,
-        size=cf.size,
-        input_sizes=cf.input_sizes,
-    )
-
-
 # --- json interchange --------------------------------------------------------
 
 
@@ -171,7 +159,8 @@ def candidate_to_json(cf: CandidateFunction) -> dict:
 
 
 def candidate_from_json(doc: Mapping) -> CandidateFunction:
-    inputs = [(d["name"], d["size"]) for d in doc["inputs"]]
+    inputs = [(d["name"], size_from_json(d["size"], f"candidate input {d['name']!r}"))
+              for d in doc["inputs"]]
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in doc["values"]):
         raise ValueError("candidate values must be ints")
     table = {tuple(k): v for k, v in zip(doc["keys"], doc["values"])}
@@ -180,7 +169,7 @@ def candidate_from_json(doc: Mapping) -> CandidateFunction:
         inputs=tuple(name for name, _ in inputs),
         table=table,
         size=doc["size"],
-        input_sizes=tuple(DEFAULT if s is None else fixed(s) for _, s in inputs),
+        input_sizes=tuple(size for _, size in inputs),
     )
 
 

@@ -979,7 +979,7 @@ class _SupportLayout:
         return columns
 
     def holds(self, columns: list) -> bool:
-        return (all(entropy.determined_columns(columns, t, g) for t, g in self.ready)
+        return (all(entropy.check(columns, t, g) for t, g in self.ready)
                 and next(_entry_tables(self.n_rows, columns, self.existentials, self.pending), None)
                 is not None)
 

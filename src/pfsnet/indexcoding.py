@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .model import DEFAULT, FormatError, fixed, resolve_size
+from .model import FormatError, resolve_size, size_from_json
 from .solver import BudgetExhausted
 
 
@@ -257,14 +257,10 @@ def instance_from_json(text: str) -> IndexInstance:
     for key in ("messages", "clients"):
         if not isinstance(doc[key], list):
             raise FormatError(f"{key}: expected a list")
-    messages = []
-    for i, m in enumerate(doc["messages"]):
-        if m is None:
-            messages.append(DEFAULT)
-        elif isinstance(m, int) and not isinstance(m, bool) and m >= 1:
-            messages.append(fixed(m))
-        else:
-            raise FormatError(f"messages[{i}]: size must be >=1 or null(default)")
+    for key in ("a", "b"):
+        if isinstance(doc[key], bool) or not isinstance(doc[key], int):
+            raise FormatError(f"{key}: expected an int, got {doc[key]!r}")
+    messages = [size_from_json(m, f"messages[{i}]") for i, m in enumerate(doc["messages"])]
     clients = []
     for i, c in enumerate(doc["clients"]):
         if not isinstance(c, dict) or "has" not in c or "wants" not in c:

@@ -465,16 +465,3 @@ def scheme_to_json_dict(scheme: CodingScheme) -> dict:
         "encodings": {e: list(t) for e, t in sorted(scheme.encodings.items())},
         "decodings": {v: [list(r) for r in t] for v, t in sorted(scheme.decodings.items())},
     }
-
-
-def scheme_from_json_dict(doc: Mapping) -> CodingScheme:
-    k = _require(doc, "k", "scheme")
-    if not isinstance(k, int) or k < 1:
-        raise FormatError("scheme.k: expected positive int")
-    enc = _require(doc, "encodings", "scheme")
-    dec = _require(doc, "decodings", "scheme")
-    return CodingScheme(
-        k=k,
-        encodings={e: tuple(t) for e, t in enc.items()},
-        decodings={v: tuple(tuple(r) for r in t) for v, t in dec.items()},
-    )

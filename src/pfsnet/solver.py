@@ -37,11 +37,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Collection, Iterator, Mapping, Optional, Sequence
 
-from .entropy import _getter
 from .model import (
     CodingScheme,
     InvalidNetwork,
@@ -220,6 +220,11 @@ def verify_scheme(net: Network, scheme: CodingScheme) -> ValidationReport:
 
 # ---------------------------------------------------------------------------
 # the search engine
+
+
+def _getter(cols: Sequence[int]):
+    """Read a key off a row: a value, a tuple of values, or () for no cols."""
+    return operator.itemgetter(*cols) if cols else (lambda row: ())
 
 
 class _Search:

@@ -344,22 +344,3 @@ def program_from_json(text: str) -> ConditionProgram:
         return ConditionProgram(doc["colors"], tuple(conds))
     except (ValueError, TypeError) as exc:
         raise FormatError(str(exc)) from exc
-
-
-def coloring_to_json(coloring: TorusColoring) -> str:
-    return json.dumps(
-        {"width": coloring.width, "height": coloring.height,
-         "grid": [list(row) for row in coloring.grid]},
-        indent=2, sort_keys=True,
-    ) + "\n"
-
-
-def coloring_from_json(text: str) -> TorusColoring:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
-    try:
-        return TorusColoring(doc["width"], doc["height"], doc["grid"])
-    except (KeyError, ValueError, TypeError) as exc:
-        raise FormatError(f"coloring: {exc}") from exc

@@ -231,7 +231,9 @@ def test_criterion_10_reduction_structure():
         parts = []
         for i in (1, 2):
             th = [grid[(w, i - 1)] for w in range(2)]
-            z0 = F.rename_inputs(F.conditional_switch_z0(th), {"M0": "m0", "M1": "m1", "W": "w"})
+            z0t = {(m0, m1, w): (m1 if th[w] else m0)
+                   for m0 in (0, 1) for m1 in (0, 1) for w in (0, 1)}
+            z0 = G.CandidateFunction("Z0", ("m0", "m1", "w"), z0t, 2, input_sizes=(fixed(2),) * 3)
             z1t = {(m0, m1, w): (m0 if th[w] else m1)
                    for m0 in (0, 1) for m1 in (0, 1) for w in (0, 1)}
             z1 = G.CandidateFunction("Z1", ("m0", "m1", "w"), z1t, 2)

@@ -100,9 +100,10 @@ def test_bad_inputs(capsys, tmp_path):
 def input_files(butterfly_file, tmp_path):
     """Paths by name: a good network, instance and program, and the bad
     inputs (a cyclic network, a network and an instance with a number where
-    a list belongs, programs whose conditions are not a list of objects, a
-    theta of the wrong width, candidate families that do not parse or do not
-    fit xor)."""
+    a list belongs, instances whose output bound has a non-integer ``a`` or
+    ``b``, programs whose conditions are not a list of objects, a theta of
+    the wrong width, candidate families that do not parse or do not fit
+    xor)."""
     cyclic = {"version": 1,
               "nodes": [{"id": "a", "broadcast": False}, {"id": "b", "broadcast": False}],
               "edges": [{"id": "1", "tail": "a", "head": "b", "size": None},
@@ -116,6 +117,8 @@ def input_files(butterfly_file, tmp_path):
         "cyclic": json.dumps(cyclic),
         "instance": json.dumps(instance),
         "instance_has_int": json.dumps(dict(instance, clients=[{"has": 5, "wants": [2]}])),
+        "instance_a_float": json.dumps(dict(instance, a=2.5)),
+        "instance_b_float": json.dumps(dict(instance, b=0.5)),
         "net_nodes_int": json.dumps(dict(net, nodes=5)),
         "net_messages_int": json.dumps(dict(net, messages=5)),
         "net_edge_id_obj": json.dumps(dict(net, edges=[dict(net["edges"][0], id={"x": 1}), *net["edges"][1:]])),
@@ -130,6 +133,8 @@ def input_files(butterfly_file, tmp_path):
         "family_no_inputs": json.dumps([{k: v for k, v in candidate.items() if k != "inputs"}]),
         "family_wrong_size": json.dumps([dict(candidate, size=3)]),
         "family_str_values": json.dumps([dict(candidate, values=["0"] * len(candidate["values"]))]),
+        "family_input_size_float": json.dumps([dict(candidate, inputs=[{"name": "Q", "size": 2.5},
+                                                                       *candidate["inputs"][1:]])]),
     }
     paths = {"net": butterfly_file}
     for name, text in docs.items():
@@ -160,6 +165,9 @@ def input_files(butterfly_file, tmp_path):
     ["torus", "{program_conditions_str}", "--width", "2", "--height", "2"],
     ["torus", "{program_conditions_int}", "--width", "2", "--height", "2"],
     ["index", "{instance_has_int}", "--k", "1"],
+    ["index", "{instance_a_float}", "--k", "2"],
+    ["index", "{instance_b_float}", "--k", "2"],
+    ["verify-checker", "xor", "--k", "1", "--family", "{family_input_size_float}"],
     ["solve", "{net_nodes_int}", "--k", "1"],
     ["solve", "{net_messages_int}", "--k", "1"],
     ["solve", "{net_edge_id_obj}", "--k", "1"],

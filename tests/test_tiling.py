@@ -197,11 +197,6 @@ def test_program_json_round_trip():
         T.program_from_json('{"colors": 2, "conditions": [{"type": "nope", "set": [1]}]}')
 
 
-def test_coloring_json_round_trip():
-    col = fig_coloring()
-    assert T.coloring_from_json(T.coloring_to_json(col)) == col
-
-
 def test_reduced_net_decided_at_k1_and_k2():
     # the two-colour program without conditions: a cycles gate cannot work
     # at k=1, and every colouring is accepted once k=2
