@@ -241,6 +241,75 @@ def test_gadget_build_summary_declares_spec(capsys, tmp_path, argv, build):
         assert doc[key] == spec[key]
 
 
+_NO_W_FAMILY = "{} has no default family conditioned on W; pass one with --family"
+
+
+# every gadget name at its flags: the verify-checker result (family_size,
+# accepted) and the gadget-build -o summary (name, conditioned_on, nodes,
+# edges), or the stderr message of an exit 3
+_GADGET_CASES = [
+    ("xor", "", (16, 2), ("xor_checker", [], 4, 3)),
+    ("xor", "--w 2", (256, 4), ("cond_xor_checker", ["W"], 4, 3)),
+    ("xor", "--b 2", (16, 2), ("xor_checker", [], 4, 3)),
+    ("xor", "--b 2 --w 2", (256, 4), ("cond_xor_checker", ["W"], 4, 3)),
+    ("xor-gate", "", (16, 2), ("xor_gate", [], 4, 3)),
+    ("xor-gate", "--w 2", (256, 4), ("cond_xor_gate", ["W"], 4, 3)),
+    ("xor-gate", "--b 2", (16, 2), ("xor_gate", [], 4, 3)),
+    ("xor-gate", "--b 2 --w 2", (256, 4), ("cond_xor_gate", ["W"], 4, 3)),
+    ("tristate", "", (81, 12), ("tristate_checker", [], 7, 6)),
+    ("tristate", "--w 2", (81, 12), ("cond_tristate_checker", ["W"], 7, 6)),
+    ("tristate", "--b 2", (81, 12), ("tristate_checker", [], 7, 6)),
+    ("tristate", "--b 2 --w 2", (81, 12), ("cond_tristate_checker", ["W"], 7, 6)),
+    ("tristate-gate", "", (81, 12), ("tristate_gate", [], 7, 6)),
+    ("tristate-gate", "--w 2", _NO_W_FAMILY.format("tristate-gate"), ("cond_tristate_gate", ["W"], 7, 6)),
+    ("tristate-gate", "--b 2", (81, 12), ("tristate_gate", [], 7, 6)),
+    ("tristate-gate", "--b 2 --w 2", _NO_W_FAMILY.format("tristate-gate"), ("cond_tristate_gate", ["W"], 7, 6)),
+    ("bstate", "", "bstate needs --b", "bstate needs --b"),
+    ("bstate", "--w 2", "bstate needs --b", "bstate needs --b"),
+    ("bstate", "--b 2", (81, 12), ("bstate2_checker", [], 7, 6)),
+    ("bstate", "--b 2 --w 2", (81, 12), ("cond_bstate2_checker", ["W"], 7, 6)),
+    ("switch", "", (256, 8), ("switch_gate", [], 11, 11)),
+    ("switch", "--w 2", _NO_W_FAMILY.format("switch"), ("cond_switch_gate", ["W"], 11, 11)),
+    ("switch", "--b 2", (256, 8), ("switch_gate", [], 11, 11)),
+    ("switch", "--b 2 --w 2", _NO_W_FAMILY.format("switch"), ("cond_switch_gate", ["W"], 11, 11)),
+    ("cycles", "", (16, 2), ("cycles_gate", [], 4, 3)),
+    ("cycles", "--w 2", _NO_W_FAMILY.format("cycles"), ("cond_cycles_gate", ["W"], 4, 3)),
+    ("cycles", "--b 2", (16, 2), ("cycles_gate", [], 4, 3)),
+    ("cycles", "--b 2 --w 2", _NO_W_FAMILY.format("cycles"), ("cond_cycles_gate", ["W"], 4, 3)),
+    ("set", "", "set needs --n", "set needs --n"),
+    ("set", "--w 2", "set needs --n", "set needs --n"),
+    ("set", "--b 2 --n 2", (4, 2), ("set2_checker", [], 10, 8)),
+    ("set", "--b 2 --n 2 --w 2", (4, 2), ("cond_set2_checker", ["W"], 10, 8)),
+    ("virtual-eq", "", (4, 2), "port W needs --b to fix its alphabet"),
+    ("virtual-eq", "--w 2", (16, 4), ("cond_virtual_equality_checker", ["W1"], 9, 8)),
+    ("virtual-eq", "--b 2", (4, 2), ("virtual_equality_checker", [], 9, 8)),
+    ("virtual-eq", "--b 2 --w 2", (16, 4), ("cond_virtual_equality_checker", ["W1"], 9, 8)),
+    ("virtual-or", "", "virtual-or needs --b", "virtual-or needs --b"),
+    ("virtual-or", "--w 2", "virtual-or needs --b", "virtual-or needs --b"),
+    ("virtual-or", "--b 2", (4, 3), ("virtual_or2_checker", [], 9, 8)),
+    ("virtual-or", "--b 2 --w 2", (16, 9), ("cond_virtual_or2_checker", ["W1"], 9, 8)),
+]
+
+
+@pytest.mark.parametrize("name, flags, verify, build", _GADGET_CASES,
+                         ids=["-".join([name, *flags.split()]).replace("--", "") for name, flags, *_ in _GADGET_CASES])
+def test_gadget_names_and_flags(capsys, tmp_path, name, flags, verify, build):
+    k = "2" if name == "cycles" else "1"
+    calls = [
+        (["verify-checker", name, *flags.split(), "--k", k], verify,
+         lambda doc: ((doc["family_size"], doc["accepted"]), doc["double_oracle_agreement"])),
+        (["gadget-build", name, *flags.split(), "-o", str(tmp_path / "net.json")], build,
+         lambda doc: ((doc["name"], doc["conditioned_on"], doc["nodes"], doc["edges"]), True)),
+    ]
+    for argv, want, read in calls:
+        code = run(argv)
+        out, err = capsys.readouterr()
+        if isinstance(want, str):
+            assert (code, out, err) == (3, "", f"error: {want}\n")
+        else:
+            assert (code, read(json.loads(out)), err) == (0, (want, True), "")
+
+
 def test_export_dot(capsys, butterfly_file):
     assert run(["export-dot", butterfly_file]) == 0
     out = capsys.readouterr().out
