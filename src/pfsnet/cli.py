@@ -25,7 +25,7 @@ from .model import (
     to_dot,
     validate,
 )
-from .solver import BudgetExhausted, SolveOptions, Status, solve_at_k, solve_up_to
+from .solver import BudgetExhausted, CapExceeded, SolveOptions, Status, solve_at_k, solve_up_to
 
 OK, NEGATIVE, EXHAUSTED, BAD_INPUT, INTERNAL = 0, 1, 2, 3, 4
 
@@ -91,6 +91,14 @@ def _add_solver_flags(p) -> None:
     p.add_argument("--no-symmetry", action="store_true", help="disable symmetry breaking")
 
 
+def _add_gadget_flags(p) -> None:
+    p.add_argument("name", choices=sorted(_GADGETS))
+    p.add_argument("--b", type=_int_arg(1), default=None, help="buffer/select arity")
+    p.add_argument("--n", type=_int_arg(1), default=None, help="switch count for set checkers")
+    p.add_argument("--theta", default=None, help="JSON file with allowed state patterns")
+    p.add_argument("--w", type=_int_arg(1), default=None, help="condition alphabet: emit the conditional variant")
+
+
 # built once per process: parse_args returns a fresh Namespace on every call
 @functools.cache
 def _build_parser() -> _Parser:
@@ -111,21 +119,13 @@ def _build_parser() -> _Parser:
     _add_solver_flags(sp)
 
     sp = sub.add_parser("gadget-build", help="emit a standalone network for a named gadget")
-    sp.add_argument("name", choices=sorted(gadgets.catalog()))
-    sp.add_argument("--b", type=_int_arg(1), default=None, help="buffer/select arity")
-    sp.add_argument("--n", type=_int_arg(1), default=None, help="switch count for set checkers")
-    sp.add_argument("--theta", default=None, help="JSON file with allowed state patterns")
-    sp.add_argument("--w", type=_int_arg(1), default=None, help="condition alphabet: emit the conditional variant")
+    _add_gadget_flags(sp)
     sp.add_argument("-o", "--output", default="-")
 
     sp = sub.add_parser("verify-checker", help="accepted candidate set plus double-oracle agreement")
-    sp.add_argument("name", choices=sorted(gadgets.catalog()))
+    _add_gadget_flags(sp)
     sp.add_argument("--k", type=_int_arg(1), required=True)
     sp.add_argument("--family", default=None, help="JSON candidate family (default: the full canonical family)")
-    sp.add_argument("--b", type=_int_arg(1), default=None)
-    sp.add_argument("--n", type=_int_arg(1), default=None)
-    sp.add_argument("--theta", default=None)
-    sp.add_argument("--w", type=_int_arg(1), default=None)
 
     sp = sub.add_parser("reduce", help="compile a torus-coloring condition program into a network")
     sp.add_argument("program")
@@ -191,47 +191,57 @@ def _cmd_sweep(args) -> int:
     return OK
 
 
-def _load_theta(args, n: int):
+def _load_theta(args):
     if args.theta is None:
-        return [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        return [tuple(int(i == j) for j in range(args.n)) for i in range(args.n)]
     doc = json.loads(_read(args.theta))
     if not isinstance(doc, list) or not all(isinstance(row, list) for row in doc):
         raise FormatError(f"{args.theta}: expected a list of 0/1 lists")
     return [tuple(row) for row in doc]
 
 
+def _theta_family(args):
+    b = args.b or 2
+    return families.theta_grid_family(args.w, b) if args.w else families.theta_family(b)
+
+
+def _xor_family(args):
+    return families.cond_xor_family(args.w) if args.w else families.xor_family()
+
+
+# the gadgets by name: the flag the gadget requires, if any; the gadget built
+# from the parsed --b/--n/--theta/--w; its default candidate family for
+# verify-checker, None where it has no default family conditioned on W
+_GADGETS = {
+    "xor": ("", lambda a: gadgets.xor_checker(), _xor_family),
+    "xor-gate": ("", lambda a: gadgets.xor_gate(), _xor_family),
+    "tristate": ("", lambda a: gadgets.tristate_checker(), lambda a: families.tristate_family()),
+    "tristate-gate": ("", lambda a: gadgets.tristate_gate(), lambda a: None if a.w else families.tristate_family()),
+    "bstate": ("b", lambda a: gadgets.bstate_checker(a.b), lambda a: families.bstate_family(a.b)),
+    "switch": ("", lambda a: gadgets.switch_gate(), lambda a: None if a.w else families.switch_family()),
+    "cycles": ("", lambda a: gadgets.cycles_gate(), lambda a: None if a.w else families.cycles_family(a.k)),
+    "set": ("n", lambda a: gadgets.set_checker(a.n, _load_theta(a)), lambda a: families.set_family(a.n)),
+    "virtual-eq": ("", lambda a: gadgets.cond_virtual_equality_checker(a.w, a.b or 2) if a.w
+                   else gadgets.virtual_equality_checker(), _theta_family),
+    "virtual-or": ("b", lambda a: gadgets.cond_virtual_or_checker(a.w, a.b) if a.w
+                   else gadgets.virtual_or_checker(a.b), _theta_family),
+}
+
+
 def _make_gadget(args):
-    """The named gadget at the given parameters; a parameter the builder
-    rejects is a usage error."""
+    """The named gadget at the given flags, conditioned on a W of size --w
+    unless the builder already gave it a condition port; a parameter the
+    builder rejects is a usage error."""
+    needs, build, _ = _GADGETS[args.name]
+    if needs and getattr(args, needs) is None:
+        raise _UsageError(f"{args.name} needs --{needs}")
     try:
-        return _build_gadget(args)
+        g = build(args)
+        if args.w and not any(p.kind is gadgets.PortKind.CONDITION_IN for p in g.ports):
+            g = gadgets.conditionalize(g, args.w)
+        return g
     except ValueError as exc:
         raise _UsageError(f"{args.name}: {exc}") from exc
-
-
-def _build_gadget(args):
-    name = args.name
-    if name == "bstate":
-        if args.b is None:
-            raise _UsageError("bstate needs --b")
-        g = gadgets.bstate_checker(args.b)
-    elif name == "virtual-or":
-        if args.b is None:
-            raise _UsageError("virtual-or needs --b")
-        if args.w is not None:
-            return gadgets.cond_virtual_or_checker(args.w, args.b)
-        g = gadgets.virtual_or_checker(args.b)
-    elif name == "virtual-eq" and args.w is not None:
-        return gadgets.cond_virtual_equality_checker(args.w, args.b or 2)
-    elif name == "set":
-        if args.n is None:
-            raise _UsageError("set needs --n")
-        g = gadgets.set_checker(args.n, _load_theta(args, args.n))
-    else:
-        g = gadgets.catalog()[name]()
-    if args.w is not None:
-        g = gadgets.conditionalize(g, args.w)
-    return g
 
 
 def _cmd_gadget_build(args) -> int:
@@ -249,38 +259,18 @@ def _cmd_gadget_build(args) -> int:
     return OK
 
 
-def _default_family(args, k: int):
-    name = args.name
-    if name in ("xor", "xor-gate"):
-        return families.xor_family() if args.w is None else families.cond_xor_family(args.w)
-    if args.w is not None and name in ("switch", "tristate-gate", "cycles"):
-        raise _UsageError(f"{name} has no default family conditioned on W; pass one with --family")
-    if name in ("tristate", "tristate-gate"):
-        return families.tristate_family()
-    if name == "bstate":
-        return families.bstate_family(args.b)
-    if name == "switch":
-        return families.switch_family()
-    if name == "cycles":
-        return families.cycles_family(k)
-    if name == "set":
-        return families.set_family(args.n)
-    if name in ("virtual-eq", "virtual-or"):
-        if args.w is not None:
-            return families.theta_grid_family(args.w, args.b or 2)
-        return families.theta_family(args.b or 2)
-    raise _UsageError(f"no default candidate family for {name}")
-
-
 def _cmd_verify_checker(args) -> int:
     g = _make_gadget(args)
     if args.family:
-        family = families.family_from_json(_read(args.family))
+        try:
+            family = families.family_from_json(_read(args.family))
+        except FormatError as exc:
+            raise FormatError(f"{args.family}: {exc}") from exc
     else:
-        family = _default_family(args, args.k)
-    sizes = {}
-    if args.name == "virtual-eq" and args.w is None:
-        sizes["W"] = args.b or 2
+        family = _GADGETS[args.name][2](args)
+        if family is None:
+            raise _UsageError(f"{args.name} has no default family conditioned on W; pass one with --family")
+    sizes = {p.name: args.b or 2 for p in g.ports if p.size is None}
     try:
         net_acc = gadgets.accepted_set(g, family, args.k, sizes=sizes)
     except gadgets.ComposeError as exc:
@@ -315,11 +305,7 @@ def _cmd_verify_checker(args) -> int:
 
 def _cmd_reduce(args) -> int:
     program = tiling.program_from_json(_read(args.program))
-    try:
-        net = tiling.reduce(program)
-    except tiling.CapExceeded as exc:
-        _emit({"command": "reduce", "status": "cap-exceeded", "detail": str(exc)})
-        return EXHAUSTED
+    net = tiling.reduce(program)
     _write(args.output, serialize(net))
     if args.output not in (None, "-"):
         switches = {v.split("/")[0] for v in net.nodes if v.startswith("sw")}
@@ -333,11 +319,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_torus(args) -> int:
     program = tiling.program_from_json(_read(args.program))
-    try:
-        witness = tiling.torus_bruteforce(program, args.width, args.height, cap=args.cap)
-    except tiling.CapExceeded as exc:
-        _emit({"command": "torus", "status": "cap-exceeded", "detail": str(exc)})
-        return EXHAUSTED
+    witness = tiling.torus_bruteforce(program, args.width, args.height, cap=args.cap)
     doc = {
         "command": "torus",
         "width": args.width,
@@ -353,9 +335,6 @@ def _cmd_index(args) -> int:
     inst = indexcoding.instance_from_json(_read(args.instance))
     try:
         ok, f = indexcoding.solvable_at_k(inst, args.k, cap=args.cap, budget=args.budget)
-    except indexcoding.CapExceeded as exc:
-        _emit({"command": "index", "status": "cap-exceeded", "detail": str(exc)})
-        return EXHAUSTED
     except BudgetExhausted:
         _emit({"command": "index", "k": args.k, "status": "budget-exhausted"})
         return EXHAUSTED
@@ -392,13 +371,17 @@ _DRIVERS = {
 
 def run(argv=None) -> int:
     """Parse arguments, dispatch, and return the exit code.  Input errors
-    exit 3; any other exception is an internal error and propagates."""
+    exit 3, an exceeded size cap exits 2; any other exception is an internal
+    error and propagates."""
     try:
         args = _build_parser().parse_args(argv)
         return _DRIVERS[args.command](args)
     except (_UsageError, FormatError, InvalidNetwork, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
+    except CapExceeded as exc:
+        _emit({"command": args.command, "status": "cap-exceeded", "detail": str(exc)})
+        return EXHAUSTED
 
 
 def main(argv=None) -> int:

@@ -184,15 +184,25 @@ def family_to_json(family: Sequence) -> str:
 
 
 def family_from_json(text: str) -> list:
-    """Inverse of ``family_to_json``; a malformed document raises FormatError."""
+    """Inverse of ``family_to_json``; a malformed document raises FormatError
+    naming the index of the first malformed candidate."""
     try:
         doc = json.loads(text)
-        out = []
-        for item in doc:
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
+    if not isinstance(doc, list):
+        raise FormatError("candidate family: expected a list")
+    out = []
+    for i, item in enumerate(doc):
+        try:
+            if not isinstance(item, dict):
+                raise ValueError("expected an object")
             if "output" in item and "size" in item:
                 out.append(candidate_from_json(item))
             else:
                 out.append({name: candidate_from_json(sub) for name, sub in item.items()})
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise FormatError(f"candidate family: {exc!r}") from exc
+        except KeyError as exc:
+            raise FormatError(f"candidate {i}: missing field {exc.args[0]!r}") from exc
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"candidate {i}: {exc}") from exc
     return out

@@ -324,11 +324,13 @@ def set_checker(n: int, theta: Iterable[tuple]) -> Gadget:
     vectors are exactly ``theta``.  A demand's label is ``ex`` followed by one
     character per switch: its bit, or ``-`` for a switch the cube leaves
     free."""
-    allowed = {tuple(int(x) for x in t) for t in theta}
-    if not allowed:
+    patterns = [tuple(t) for t in theta]
+    if not patterns:
         raise ValueError("theta must be nonempty: an empty set checker is unsatisfiable by construction")
-    if any(len(t) != n or any(x not in (0, 1) for x in t) for t in allowed):
+    # a bool, float or string entry is refused, not read as the bit it equals
+    if any(len(t) != n or any(type(x) is not int or x not in (0, 1) for x in t) for t in patterns):
         raise ValueError("theta patterns must be n-bit vectors")
+    allowed = set(patterns)
     b = _Builder(f"set{n}_checker")
     b.message_in("M1", 2)
     sigs = {}
@@ -1054,23 +1056,7 @@ def _entry_tables(n_rows: int, columns: Sequence, existentials: Sequence,
 
 
 # ---------------------------------------------------------------------------
-# catalog export
-
-
-def catalog() -> dict:
-    """Constructors addressable by name (CLI and scripts)."""
-    return {
-        "xor": xor_checker,
-        "xor-gate": xor_gate,
-        "tristate": tristate_checker,
-        "tristate-gate": tristate_gate,
-        "bstate": bstate_checker,
-        "switch": switch_gate,
-        "cycles": cycles_gate,
-        "set": set_checker,
-        "virtual-eq": virtual_equality_checker,
-        "virtual-or": virtual_or_checker,
-    }
+# json export
 
 
 def gadget_to_json(gadget: Gadget) -> dict:

@@ -19,11 +19,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .model import FormatError, resolve_size, size_from_json
-from .solver import BudgetExhausted
-
-
-class CapExceeded(Exception):
-    """The resolved tuple space exceeds the configured cap."""
+from .solver import BudgetExhausted, CapExceeded
 
 
 @dataclass(frozen=True)

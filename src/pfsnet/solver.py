@@ -61,6 +61,11 @@ class BudgetExhausted(Exception):
         self.k = k
 
 
+class CapExceeded(Exception):
+    """A requested search or build exceeds its configured size cap;
+    explicitly not a negative answer."""
+
+
 class Status(Enum):
     SOLVABLE = "solvable"
     UNSOLVABLE_AT_K = "unsolvable-at-k"

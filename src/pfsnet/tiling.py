@@ -25,10 +25,7 @@ from typing import Optional, Sequence
 from . import gadgets
 from .model import DEFAULT, FormatError, Network, ValidationReport, fixed
 from .gadgets import Out
-
-
-class CapExceeded(Exception):
-    """The requested exhaustive search exceeds the configured size cap."""
+from .solver import CapExceeded
 
 
 # reduce builds one switch per nonempty proper colour subset, 2^N - 2 of

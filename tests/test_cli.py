@@ -101,9 +101,9 @@ def input_files(butterfly_file, tmp_path):
     """Paths by name: a good network, instance and program, and the bad
     inputs (a cyclic network, a network and an instance with a number where
     a list belongs, instances whose output bound has a non-integer ``a`` or
-    ``b``, programs whose conditions are not a list of objects, a theta of
-    the wrong width, candidate families that do not parse or do not fit
-    xor)."""
+    ``b``, programs whose conditions are not a list of objects, thetas of
+    the wrong width or with a float, string or bool entry, candidate
+    families that do not parse or do not fit xor)."""
     cyclic = {"version": 1,
               "nodes": [{"id": "a", "broadcast": False}, {"id": "b", "broadcast": False}],
               "edges": [{"id": "1", "tail": "a", "head": "b", "size": None},
@@ -130,6 +130,9 @@ def input_files(butterfly_file, tmp_path):
         "program_conditions_str": json.dumps({"colors": 2, "conditions": "x"}),
         "program_conditions_int": json.dumps({"colors": 2, "conditions": [1]}),
         "theta": "[[1, 0, 0], [0, 1, 0]]",
+        "theta_float": "[[1.5, 0]]",
+        "theta_str": '[["0", 1]]',
+        "theta_bool": "[[true, 0]]",
         "family_no_inputs": json.dumps([{k: v for k, v in candidate.items() if k != "inputs"}]),
         "family_wrong_size": json.dumps([dict(candidate, size=3)]),
         "family_str_values": json.dumps([dict(candidate, values=["0"] * len(candidate["values"]))]),
@@ -155,6 +158,9 @@ def input_files(butterfly_file, tmp_path):
     ["gadget-build", "virtual-or", "--b", "1"],
     ["gadget-build", "virtual-eq", "--b", "0"],
     ["gadget-build", "set", "--n", "2", "--theta", "{theta}"],
+    ["gadget-build", "set", "--n", "2", "--theta", "{theta_float}"],
+    ["gadget-build", "set", "--n", "2", "--theta", "{theta_str}"],
+    ["gadget-build", "set", "--n", "2", "--theta", "{theta_bool}"],
     ["verify-checker", "xor", "--k", "2", "--family", "{family_no_inputs}"],
     ["verify-checker", "xor", "--k", "2", "--family", "{family_wrong_size}"],
     ["verify-checker", "xor", "--k", "2", "--family", "{family_str_values}"],
@@ -370,6 +376,16 @@ def test_verify_checker_names_the_malformed_candidate(capsys):
     assert run(["verify-checker", "xor", "--k", "1", "--family", str(path)]) == 3
     err = capsys.readouterr().err
     assert "candidate 1: xor_checker.Y: candidate value 5 out of range [0,2)" in err
+
+
+@pytest.mark.parametrize("family, fault", [
+    ("family_no_inputs", "candidate 0: missing field 'inputs'"),
+    ("family_input_size_float", "candidate 0: candidate input 'Q': size must be int or null, got 2.5"),
+], ids=["no-inputs", "input-size-float"])
+def test_verify_checker_names_the_family_file_and_candidate(capsys, input_files, family, fault):
+    path = input_files[family]
+    assert run(["verify-checker", "xor", "--k", "1", "--family", path]) == 3
+    assert capsys.readouterr().err == f"error: {path}: {fault}\n"
 
 
 def test_reduce_and_torus(capsys, tmp_path):

@@ -195,7 +195,7 @@ _ESCAPED = Network(
       for n in range(2, 7) for seed in (1, 2)),
     *(pytest.param(lambda argv=[name, "--b", "2", *(["--n", "2"] if name == "set" else []), *w]: _gadget_build_net(argv),
                    id="gadget-build-" + "-".join([name, *w]).replace("--", ""))
-      for name in sorted(gadgets.catalog()) for w in ([], ["--w", "2"])),
+      for name in sorted(cli._GADGETS) for w in ([], ["--w", "2"])),
     pytest.param(lambda: _ESCAPED, id="escaped-ids"),
     pytest.param(lambda: Network(("a", "b"), (Edge("e", "a", "b", DEFAULT),), (), {}, {}), id="no-sources-or-demands"),
     pytest.param(lambda: Network((), (), (), {}, {}), id="empty"),
