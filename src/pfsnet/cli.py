@@ -215,12 +215,12 @@ def _xor_family(args):
 _GADGETS = {
     "xor": ("", lambda a: gadgets.xor_checker(), _xor_family),
     "xor-gate": ("", lambda a: gadgets.xor_gate(), _xor_family),
-    "tristate": ("", lambda a: gadgets.tristate_checker(), lambda a: families.tristate_family()),
+    "tristate": ("", lambda a: gadgets.tristate_checker(), lambda a: None if a.w else families.tristate_family()),
     "tristate-gate": ("", lambda a: gadgets.tristate_gate(), lambda a: None if a.w else families.tristate_family()),
-    "bstate": ("b", lambda a: gadgets.bstate_checker(a.b), lambda a: families.bstate_family(a.b)),
+    "bstate": ("b", lambda a: gadgets.bstate_checker(a.b), lambda a: None if a.w else families.bstate_family(a.b)),
     "switch": ("", lambda a: gadgets.switch_gate(), lambda a: None if a.w else families.switch_family()),
     "cycles": ("", lambda a: gadgets.cycles_gate(), lambda a: None if a.w else families.cycles_family(a.k)),
-    "set": ("n", lambda a: gadgets.set_checker(a.n, _load_theta(a)), lambda a: families.set_family(a.n)),
+    "set": ("n", lambda a: gadgets.set_checker(a.n, _load_theta(a)), lambda a: None if a.w else families.set_family(a.n)),
     "virtual-eq": ("", lambda a: gadgets.cond_virtual_equality_checker(a.w, a.b or 2) if a.w
                    else gadgets.virtual_equality_checker(), _theta_family),
     "virtual-or": ("b", lambda a: gadgets.cond_virtual_or_checker(a.w, a.b) if a.w

@@ -491,12 +491,13 @@ class CandidateFunction:
 Binding = Union[str, tuple, Out, CandidateFunction]
 
 
-def _candidate_values(where: str, cf: CandidateFunction, size: int,
-                      in_sizes: Mapping[str, int]) -> tuple:
-    """Check that ``cf`` is a total function from exactly the labels of
-    ``in_sizes`` (label -> alphabet size) into [0..size), and return its
-    values row-major over those labels in mapping order, the last varying
-    fastest.  Both acceptance oracles check every candidate here."""
+def _table_keys(where: str, cf: CandidateFunction, size: int, in_sizes: Mapping[str, int]) -> list:
+    """Check that ``cf`` has exactly the labels of ``in_sizes`` (label ->
+    alphabet size) as inputs and ``size`` as its size, and return the keys of
+    ``cf.table`` row-major over those labels in mapping order, the last
+    varying fastest, each in the candidate's input order.  The keys depend on
+    a candidate only through its inputs, so they serve every candidate of its
+    shape."""
     if set(cf.inputs) != set(in_sizes):
         raise ComposeError(
             f"{where}: candidate inputs {sorted(cf.inputs)} != required domain {sorted(in_sizes)}"
@@ -504,9 +505,23 @@ def _candidate_values(where: str, cf: CandidateFunction, size: int,
     if cf.size != size:
         raise ComposeError(f"{where}: candidate size {cf.size} != port size {size}")
     keys = itertools.product(*(range(n) for n in in_sizes.values()))
-    if cf.inputs != tuple(in_sizes):  # put each key in the candidate's input order
+    if cf.inputs != tuple(in_sizes):
         pos = [list(in_sizes).index(lb) for lb in cf.inputs]
         keys = (tuple(combo[i] for i in pos) for combo in keys)
+    return list(keys)
+
+
+def _candidate_values(where: str, cf: CandidateFunction, size: int, keys: Sequence[tuple]) -> tuple:
+    """The values of ``cf`` at ``keys`` (``_table_keys`` of its shape), each
+    checked to be in [0..size); a missing or out-of-range entry raises for
+    the first one in key order.  Both acceptance oracles check every
+    candidate here."""
+    try:
+        values = tuple(map(cf.table.__getitem__, keys))
+        if set(values).issubset(range(size)):
+            return values
+    except (KeyError, TypeError):
+        pass
     values = []
     for key in keys:
         try:
@@ -539,8 +554,8 @@ class Composition:
     pins: Mapping[str, tuple]
     message_index: Mapping[str, int]
     out_edges: Mapping[tuple, str]  # (part, port) -> edge id in net
-    # pinned edge id -> (part, port, size, in_sizes) its candidate was checked
-    # against by ``_candidate_values``, in the order the pins were made
+    # pinned edge id -> (port, where, size, table keys) its candidate was
+    # read with by ``_candidate_values``, in the order the pins were made
     pin_domains: Mapping[str, tuple] = field(default_factory=dict)
 
 
@@ -618,8 +633,9 @@ class _Composer:
         else:
             size = resolve_size(spec, self.k)
             in_sizes = {lb: resolve_size(self.specs[lb], self.k) for lb in order}
-        self.pin_domains[eid] = (part, port, size, in_sizes)
-        self.pins[eid] = _candidate_values(where, cf, size, in_sizes)
+        keys = _table_keys(where, cf, size, in_sizes)
+        self.pin_domains[eid] = (port, where, size, keys)
+        self.pins[eid] = _candidate_values(where, cf, size, keys)
 
     def add_part(self, part: str, g: Gadget, bindings: Mapping[str, Binding]) -> None:
         known = {p.name for p in g.ports}
@@ -803,17 +819,17 @@ def _normalize_family(gadget: Gadget, family: Sequence) -> list:
         for p in gadget.ports
         if p.kind in (PortKind.SIGNAL_IN, PortKind.SIGNAL_OUT)
     ]
+    expected = set(pinned_ports)
     out = []
     for index, entry in enumerate(family):
-        if isinstance(entry, CandidateFunction):
-            entry = {entry.output: entry}
-        missing = [p for p in pinned_ports if p not in entry]
-        if missing:
-            raise ComposeError(f"candidate entry missing tables for ports {missing}", index)
-        unknown = sorted(set(entry) - set(pinned_ports))
-        if unknown:
-            raise ComposeError(f"{gadget.name}: candidate entry names no signal port: {unknown}", index)
-        out.append(dict(entry))
+        entry = {entry.output: entry} if isinstance(entry, CandidateFunction) else dict(entry)
+        if entry.keys() != expected:
+            missing = [p for p in pinned_ports if p not in entry]
+            if missing:
+                raise ComposeError(f"candidate entry missing tables for ports {missing}", index)
+            raise ComposeError(f"{gadget.name}: candidate entry names no signal port: "
+                               f"{sorted(entry.keys() - expected)}", index)
+        out.append(entry)
     return out
 
 
@@ -856,7 +872,7 @@ def accepted_set(gadget: Gadget, family: Sequence, k: int,
 def _shape(entry: Mapping[str, CandidateFunction]) -> tuple:
     """What both oracles build once per candidate: for each pinned port, the
     candidate's inputs in order, their sizes and its output size."""
-    return tuple((port, cf.inputs, cf.input_sizes, cf.size) for port, cf in sorted(entry.items()))
+    return tuple([(port, cf.inputs, cf.input_sizes, cf.size) for port, cf in sorted(entry.items())])
 
 
 def _pinned_outcomes(gadget: Gadget, entries: Sequence[Mapping[str, CandidateFunction]], k: int,
@@ -867,27 +883,27 @@ def _pinned_outcomes(gadget: Gadget, entries: Sequence[Mapping[str, CandidateFun
 
     The embedding and the search setup depend on a candidate only through
     its shape (``_shape``), and both are built once per shape, from its
-    first candidate.  Each later candidate of the shape is checked against
-    the domains that composition pinned, so it raises the ``ComposeError`` a
-    fresh composition would (with ``index``, the entry's position), and only
-    its pin tables go to a new run of the search (see ``solver._Search``)."""
-    setups: dict = {}  # shape -> (embedding, search setup)
+    first candidate.  Each later candidate of the shape is read with the
+    table keys that composition checked its shape against, so it raises the
+    ``ComposeError`` a fresh composition would (with ``index``, the entry's
+    position), and only its pin tables go to a new run of the search (see
+    ``solver._Search``)."""
+    setups: dict = {}  # shape -> (search setup, the embedding's pin domains)
     for index, entry in enumerate(entries):
         shape = _shape(entry)
+        setup = setups.get(shape)
         try:
-            if shape in setups:
-                comp, search = setups[shape]
-                pins = {eid: _candidate_values(f"{part}.{port}", entry[port], size, in_sizes)
-                        for eid, (part, port, size, in_sizes) in comp.pin_domains.items()}
-            else:
+            if setup is None:
                 comp = _embedding(gadget, entry, k, sizes)
-                search = _Search(comp.net, k, comp.pins)
-                setups[shape] = comp, search
+                setup = setups[shape] = _Search(comp.net, k, comp.pins), comp.pin_domains
                 pins = comp.pins
+            else:
+                pins = {eid: _candidate_values(where, entry[port], size, keys)
+                        for eid, (port, where, size, keys) in setup[1].items()}
         except ComposeError as exc:
             exc.index = index
             raise
-        yield search.decide(pins, None)
+        yield setup[0].decide(pins, None)
 
 
 def entropy_accepted_set(gadget: Gadget, family: Sequence, k: int,
@@ -906,10 +922,10 @@ def entropy_accepted_set(gadget: Gadget, family: Sequence, k: int,
     accepted = []
     for index, entry in enumerate(entries):
         shape = _shape(entry)
+        layout = layouts.get(shape)
         try:
-            if shape not in layouts:
-                layouts[shape] = _SupportLayout(gadget, entry, k, sizes or {})
-            layout = layouts[shape]
+            if layout is None:
+                layout = layouts[shape] = _SupportLayout(gadget, entry, k, sizes or {})
             columns = layout.columns_of(entry)
         except ComposeError as exc:
             exc.index = index
@@ -924,8 +940,9 @@ class _SupportLayout:
 
     The variables are the message and condition ports, then the candidates'
     other inputs; the rows are the product of their alphabets, the last
-    varying fastest.  Each pinned port (sorted by name) has its domain and a
-    row -> table index map, so a candidate's column is one lookup per row.
+    varying fastest.  Each pinned port (sorted by name) has its candidates'
+    table keys and a row -> table index map, so a candidate's column is one
+    lookup per row.
     Conditions are column lists: ``ready`` ones read only variables and
     ports, ``pending`` ones also existentials (see ``_entry_tables``)."""
 
@@ -945,7 +962,7 @@ class _SupportLayout:
         self.n_rows = len(rows)
         self.base = [list(c) for c in zip(*rows)]
         col = {name: i for i, name in enumerate(variables)}
-        self.ports = []  # (port, where, size, in_sizes, row -> table index)
+        self.ports = []  # (port, where, size, table keys, row -> table index)
         for i, port_name in enumerate(sorted(entry), start=len(variables)):
             where = f"{gadget.name}.{port_name}"
             port = gadget.port(port_name)
@@ -953,12 +970,13 @@ class _SupportLayout:
                       else _output_domain(where, gadget, port_name))
             in_sizes = {lb: variables[lb] for lb in domain}
             size = resolve_size(port.size, k)
+            keys = _table_keys(where, entry[port_name], size, in_sizes)
             # so that this port's faults come before a later port's domain fault
-            _candidate_values(where, entry[port_name], size, in_sizes)
+            _candidate_values(where, entry[port_name], size, keys)
             index = [0] * self.n_rows
             for lb, s in in_sizes.items():
                 index = [j * s + x for j, x in zip(index, self.base[col[lb]])]
-            self.ports.append((port_name, where, size, in_sizes, index))
+            self.ports.append((port_name, where, size, keys, index))
             col[port_name] = i
         ex = {e.name: i for i, e in enumerate(gadget.spec.existentials)}
         self.existentials = [([col[lb] for lb in e.inputs], e.size) for e in gadget.spec.existentials]
@@ -975,15 +993,17 @@ class _SupportLayout:
         """The support columns with ``entry``'s candidates, each checked by
         ``_candidate_values``."""
         columns = list(self.base)
-        for port_name, where, size, in_sizes, index in self.ports:
-            values = _candidate_values(where, entry[port_name], size, in_sizes)
+        for port_name, where, size, keys, index in self.ports:
+            values = _candidate_values(where, entry[port_name], size, keys)
             columns.append(list(map(values.__getitem__, index)))
         return columns
 
     def holds(self, columns: list) -> bool:
-        return (all(entropy.check(columns, t, g) for t, g in self.ready)
-                and next(_entry_tables(self.n_rows, columns, self.existentials, self.pending), None)
-                is not None)
+        for t, g in self.ready:
+            if not entropy.check(columns, t, g):
+                return False
+        tables = _entry_tables(self.n_rows, columns, self.existentials, self.pending)
+        return not self.pending or next(tables, None) is not None
 
 
 def _entry_tables(n_rows: int, columns: Sequence, existentials: Sequence,
@@ -996,32 +1016,56 @@ def _entry_tables(n_rows: int, columns: Sequence, existentials: Sequence,
     ``existentials`` gives each one's (input columns, size); a condition
     names at least one existential and is (target columns, target
     existentials, given columns, given existentials).  An entry is one
-    existential's value at one projection of the rows onto its inputs.  One
-    depth-first search sets the entries existential by existential, each
-    one's in the order the rows first reach them, with restricted growth (a
-    value at most one above the existential's earlier values; Knuth, TAOCP
-    4A, 7.2.1.5).  Each
-    condition is checked on a row as soon as the last entry the row reads is
-    set (Haralick and Elliott 1980): the row's given values are stored as a
-    key with its target values, and a key stored with other target values is
-    a conflict.  A trail undoes the stored keys on backtrack."""
-    entries: dict = {}  # (existential, input projection) -> position in the search
-    at = [[0] * n_rows for _ in existentials]  # existential, row -> entry
-    keys = [list(zip(*(columns[c] for c in ins))) if ins else [()] * n_rows for ins, _ in existentials]
-    for e, key in enumerate(keys):
-        for r in range(n_rows):
-            at[e][r] = entries.setdefault((e, key[r]), len(entries))
-    checks: list = [[] for _ in entries]  # entry -> rows checked once it is set
-    for t_cols, t_ex, g_cols, g_ex in conditions:
-        seen: dict = {}  # given values -> target values, on the rows checked so far
-        rows = {(tuple(columns[c][r] for c in g_cols), tuple(at[e][r] for e in g_ex),
-                 tuple(columns[c][r] for c in t_cols), tuple(at[e][r] for e in t_ex))
-                for r in range(n_rows)}
-        for row in rows:
-            checks[max(row[1] + row[3])].append((seen,) + row)
+    existential's value at one projection of the rows onto its inputs.  A
+    collision group is the rows of one condition with the same given column
+    values: only the entries they read can tell them apart.  One depth-first
+    search sets the entries one at a time, next always the entry that shares
+    the most collision groups with the entries set before it (on a tie, the
+    one the rows reach first, existential by existential).  Each
+    existential's values grow restrictedly in the order its entries are set
+    (a value at most one above its earlier values; Knuth, TAOCP 4A,
+    7.2.1.5).  Each condition is checked on a row as soon as the last entry
+    the row reads is set (Haralick and Elliott 1980): the row's given values
+    are stored as a key with its target values, and a key stored with other
+    target values is a conflict.  A trail undoes the stored keys on
+    backtrack."""
+    def cells(cols: list) -> list:  # per row, its values in cols
+        return list(zip(*cols)) if cols else [()] * n_rows
+
+    entries: dict = {}  # (existential, input projection) -> number, in the order the rows reach it
+    at = [[entries.setdefault((e, key), len(entries)) for key in cells([columns[c] for c in ins])]
+          for e, (ins, _) in enumerate(existentials)]  # existential, row -> entry
     owner = [e for e, _ in entries]
     n = len(owner)
-    vals, used = [-1] * n, [0] * n  # used: the existential's distinct values up to here
+    # each condition's distinct rows, as (given values, given entries, target
+    # values, target entries), and each entry's collision groups
+    distinct, groups = [], [set() for _ in owner]
+    for i, (t_cols, t_ex, g_cols, g_ex) in enumerate(conditions):
+        rows = set(zip(cells([columns[c] for c in g_cols]), cells([at[e] for e in g_ex]),
+                       cells([columns[c] for c in t_cols]), cells([at[e] for e in t_ex])))
+        distinct.append(rows)
+        for g_fix, g_ent, _, t_ent in rows:
+            for x in g_ent + t_ent:
+                groups[x].add((i, g_fix))
+    order, left, touched = [], list(range(n)), set()
+    while left:
+        x = max(left, key=lambda y: len(groups[y] & touched))  # the first of the most shared
+        left.remove(x)
+        order.append(x)
+        touched |= groups[x]
+    depth = [0] * n  # entry -> its position in order
+    prev, latest = [], {}  # depth -> depth of the existential's previous entry, or -1
+    for d, x in enumerate(order):
+        depth[x] = d
+        prev.append(latest.get(owner[x], -1))
+        latest[owner[x]] = d
+    checks: list = [[] for _ in order]  # depth -> rows checked once its entry is set
+    for rows in distinct:
+        seen: dict = {}  # given values -> target values, on the rows checked so far
+        for row in rows:
+            checks[max(depth[x] for x in row[1] + row[3])].append((seen,) + row)
+    vals = [-1] * n  # entry -> value
+    used = [0] * n  # depth -> its existential's distinct values up to there
     trail, marks = [], []  # stored (seen, key); trail length when each value was set
     d = 0
     while d >= 0:
@@ -1029,15 +1073,16 @@ def _entry_tables(n_rows: int, columns: Sequence, existentials: Sequence,
             yield dict(zip(entries, vals))
             d -= 1
             continue
-        if vals[d] >= 0:  # undo the value tried last
+        x = order[d]
+        if vals[x] >= 0:  # undo the value tried last
             mark = marks.pop()
             for seen, key in trail[mark:]:
                 del seen[key]
             del trail[mark:]
-        v = vals[d] = vals[d] + 1
-        before = used[d - 1] if d and owner[d - 1] == owner[d] else 0
-        if v > before or v >= existentials[owner[d]][1]:
-            vals[d] = -1
+        v = vals[x] = vals[x] + 1
+        before = used[prev[d]] if prev[d] >= 0 else 0
+        if v > before or v >= existentials[owner[x]][1]:
+            vals[x] = -1
             d -= 1
             continue
         used[d] = max(before, v + 1)

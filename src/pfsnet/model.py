@@ -110,6 +110,7 @@ class Network:
 
     _in: dict = field(init=False, repr=False, compare=False)
     _out: dict = field(init=False, repr=False, compare=False)
+    _layouts: dict = field(init=False, repr=False, compare=False)  # k -> solver's layout at k
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -130,6 +131,7 @@ class Network:
             out[v].sort(key=lambda e: e.id)
         object.__setattr__(self, "_in", inn)
         object.__setattr__(self, "_out", out)
+        object.__setattr__(self, "_layouts", {})
 
     # -- structure queries -------------------------------------------------
 

@@ -40,7 +40,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Collection, Iterator, Mapping, Optional, Sequence
+from typing import Collection, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .model import (
     CodingScheme,
@@ -117,6 +117,28 @@ def table_domain(net: Network, k: int, v: str) -> list:
     ]
 
 
+class _Layout(NamedTuple):
+    """What evaluating a network at k needs, whatever its tables."""
+
+    order: list  # the edges in ``edge_eval_order``
+    domain: dict  # node -> its ``table_domain``
+    dom_size: dict  # node -> the number of entries of a table over that domain
+    tuples: list  # every message tuple, the last message varying fastest
+
+
+def _layout(net: Network, k: int) -> _Layout:
+    """The layout of ``net`` at k, built on first use and kept on the
+    network, one per k (a network is immutable)."""
+    layout = net._layouts.get(k)
+    if layout is None:
+        order = edge_eval_order(net)
+        domain = {v: table_domain(net, k, v) for v in net.nodes}
+        layout = net._layouts[k] = _Layout(
+            order, domain, {v: math.prod(size for _, size in dom) for v, dom in domain.items()},
+            list(itertools.product(*(range(resolve_size(m, k)) for m in net.messages))))
+    return layout
+
+
 def _table_index(dom: Sequence[tuple], values: Mapping) -> int:
     """The row-major index of ``values`` in a table over ``dom``."""
     idx = 0
@@ -129,15 +151,15 @@ def simulate(net: Network, scheme: CodingScheme) -> Iterator[dict]:
     """For every message tuple, yield one mapping from message index (int)
     and edge id (str) to value: the messages 1..l, then the edge signals in
     ``edge_eval_order``."""
-    k = scheme.k
+    layout = _layout(net, scheme.k)
     plan = []  # per edge: (id, table, domain), or (id, None, in-edge id) for a relay
-    for e in edge_eval_order(net):
+    for e in layout.order:
         if e.tail in net.broadcast:
             plan.append((e.id, None, net.in_edges(e.tail)[0].id))
         else:
-            plan.append((e.id, scheme.encodings[e.id], table_domain(net, k, e.tail)))
+            plan.append((e.id, scheme.encodings[e.id], layout.domain[e.tail]))
     labels = range(1, net.n_messages + 1)
-    for msg in itertools.product(*(range(resolve_size(m, k)) for m in net.messages)):
+    for msg in layout.tuples:
         values = dict(zip(labels, msg))
         for eid, table, dom in plan:
             values[eid] = values[dom] if table is None else table[_table_index(dom, values)]
@@ -147,14 +169,11 @@ def simulate(net: Network, scheme: CodingScheme) -> Iterator[dict]:
 def _decoder_pass(net: Network, scheme: CodingScheme) -> Iterator[tuple]:
     """(demand, decoding table index, demanded message values) for every
     message tuple and demand."""
-    plan = [(v, table_domain(net, scheme.k, v), sorted(want)) for v, want in net.demands.items()]
+    domain = _layout(net, scheme.k).domain
+    plan = [(v, domain[v], sorted(want)) for v, want in net.demands.items()]
     for values in simulate(net, scheme):
         for v, dom, want in plan:
-            yield v, _table_index(dom, values), tuple(values[i] for i in want)
-
-
-def _domain_size(net: Network, k: int, v: str) -> int:
-    return math.prod(size for _, size in table_domain(net, k, v))
+            yield v, _table_index(dom, values), tuple(map(values.__getitem__, want))
 
 
 def derive_decodings(net: Network, k: int, encodings: Mapping[str, Sequence[int]]) -> CodingScheme:
@@ -165,7 +184,8 @@ def derive_decodings(net: Network, k: int, encodings: Mapping[str, Sequence[int]
     simply fails verify_scheme.
     """
     partial = CodingScheme(k=k, encodings=encodings, decodings={})
-    tables = {v: [(0,) * len(want)] * _domain_size(net, k, v) for v, want in net.demands.items()}
+    dom_size = _layout(net, k).dom_size
+    tables = {v: [(0,) * len(want)] * dom_size[v] for v, want in net.demands.items()}
     for v, idx, got in _decoder_pass(net, partial):
         tables[v][idx] = got
     return CodingScheme(k=k, encodings=partial.encodings, decodings=tables)
@@ -181,6 +201,7 @@ def verify_scheme(net: Network, scheme: CodingScheme) -> ValidationReport:
     k = scheme.k
     if k < 1:
         return ValidationReport(False, (("k-positive", str(k)),))
+    dom_size = _layout(net, k).dom_size
     forced = {e.id for e in net.edges if e.tail in net.broadcast}
     for v in sorted(net.broadcast):
         if not net.in_edges(v):
@@ -197,20 +218,23 @@ def verify_scheme(net: Network, scheme: CodingScheme) -> ValidationReport:
         table = scheme.encodings.get(e.id)
         if table is None:
             bad.append(("missing-encoding", e.id))
-        elif len(table) != _domain_size(net, k, e.tail):
+        elif len(table) != dom_size[e.tail]:
             bad.append(("encoding-domain", e.id))
-        elif any(not 0 <= x < resolve_size(e.size, k) for x in table):
-            bad.append(("encoding-range", e.id))
+        else:
+            size = resolve_size(e.size, k)
+            if any(not 0 <= x < size for x in table):
+                bad.append(("encoding-range", e.id))
     for v, want in net.demands.items():
         table = scheme.decodings.get(v)
         if table is None:
             bad.append(("missing-decoding", v))
             continue
-        if len(table) != _domain_size(net, k, v):
+        if len(table) != dom_size[v]:
             bad.append(("decoding-domain", v))
             continue
         # rows are checked in order up to the first one of the wrong width
-        rows = list(itertools.takewhile(lambda row: len(row) == len(want), table))
+        width = len(want)
+        rows = list(itertools.takewhile(lambda row: len(row) == width, table))
         sizes = [resolve_size(net.messages[i - 1], k) for i in sorted(want)]
         if any(not 0 <= x < s for row in rows for x, s in zip(row, sizes)):
             bad.append(("decoding-range", v))
@@ -255,8 +279,10 @@ class _Search:
     network and fixes the tuple order, the roots, the searched edges, their
     domain columns, their symmetry eligibility and the frontier-cut checks.
     A run (``solutions`` or ``decide``) takes the pin tables and the budget
-    and starts from fresh rows, keys and trail, so one setup serves any
-    number of runs that differ only in their pin tables.
+    and starts from copies of the setup's rows and tables and from fresh
+    keys and trail, so one setup serves any number of runs that differ only
+    in their pin tables.  What a network's evaluation needs at k (edge
+    order, table domains, message tuples) is the network's ``_layout``.
     """
 
     def __init__(self, net: Network, k: int, pinned: Collection[str] = (),
@@ -267,19 +293,12 @@ class _Search:
         if k < 1:
             raise ValueError("k must be >= 1")
         self.net, self.k = net, k
-        msg_sizes = [resolve_size(m, k) for m in net.messages]
-        n_msgs = len(msg_sizes)
-        # graded order: every tuple of the sub-box {0..j}^n comes before any
-        # tuple with a value above j; the sort is stable, so each grade stays
-        # in lexicographic order
-        self.tuples = list(itertools.product(*(range(s) for s in msg_sizes)))
-        if n_msgs:
-            self.tuples.sort(key=max)
-        order = edge_eval_order(net)
+        layout = _layout(net, k)
+        n_msgs = net.n_messages
         self.infeasible = False
         root: dict = {}
         self.tabled = []  # edges with a table of their own
-        for e in order:
+        for e in layout.order:
             if e.tail in net.broadcast:
                 f = net.in_edges(e.tail)[0]
                 root[e.id] = root[f.id]
@@ -295,7 +314,7 @@ class _Search:
                 raise ValueError(f"cannot pin broadcast out-edge {eid!r}")
         self.pinned = frozenset(pinned)
         self.size = {e.id: resolve_size(e.size, k) for e in self.tabled}
-        self.dom_size = {e.id: _domain_size(net, k, e.tail) for e in self.tabled}
+        self.dom_size = {e.id: layout.dom_size[e.tail] for e in self.tabled}
         # a demand its own sources satisfy needs nothing; the others make
         # every edge upstream of them relevant
         demands = [v for v in sorted(net.demands) if not net.demands[v] <= net.source_set(v)]
@@ -315,7 +334,7 @@ class _Search:
         # message's column, or that of the searched edge an in-edge relays
         # (the in-edges of a searched edge's tail are upstream of a demand too)
         self.dom_cols = [[(src - 1 if isinstance(src, int) else n_msgs + pos[root[src]], size)
-                          for src, size in table_domain(net, k, e.tail)] for e in self.edges]
+                          for src, size in layout.domain[e.tail]] for e in self.edges]
         # symmetry-breaking eligibility: every consumer of the edge's value,
         # following forced relays, must be free to relabel (no pinned out-edge)
         self.sym = []
@@ -395,6 +414,17 @@ class _Search:
             # ``solutions``)
             blame = tuple(n_msgs + n + c for c in key if c >= n_msgs)
             self.checks_at[p].append((_getter(key), _getter(rest), blame))
+        # what every run starts from, copied, never written: a row per message
+        # tuple in graded order (every tuple of the sub-box {0..j}^n before
+        # any tuple with a value above j; the sort is stable, so each grade
+        # stays in lexicographic order), the searched edges' tables with
+        # every entry unset, and the frame bits of their entries (see
+        # ``solutions``)
+        tail = [0] * (n + n_msgs + n)
+        self.rows = [[*t, *tail] for t in (sorted(layout.tuples, key=max) if n_msgs else layout.tuples)]
+        self.blank = [(e.id, [-1] * self.dom_size[e.id]) for e in self.edges]
+        self.setter = [[0] * self.dom_size[e.id] for e in self.edges]
+        self.sizes = [self.size[e.id] for e in self.edges]
 
     def solutions(self, pins: Mapping[str, Sequence[int]], budget: Optional[int]) -> Iterator[dict]:
         """One run: depth-first over single entries, with explicit stacks;
@@ -414,27 +444,24 @@ class _Search:
         for eid, table in pinned.items():
             if len(table) != self.dom_size[eid]:
                 raise ValueError(f"pin for {eid!r} has length {len(table)}, expected {self.dom_size[eid]}")
-            if any(not 0 <= x < self.size[eid] for x in table):
+            if min(table) < 0 or max(table) >= self.size[eid]:
                 raise ValueError(f"pin for {eid!r} out of range")
         if self.infeasible:
             return
         n = len(self.edges)
-        T = len(self.tuples)
-        base = len(self.tuples[0])  # the number of messages
+        T = len(self.rows)
+        base = self.net.n_messages
         width = base + n
         # a row: the message values and one value per searched edge, then for
         # each of those width cells the frames its value depends on: the one
         # that set the entry it read (none for a pinned entry) and those of
         # the cells that index that entry (none for a message)
-        rows = [list(t) + [0] * (n + width) for t in self.tuples]
-        tables = [list(pinned[e.id]) if e.id in pinned else [-1] * self.dom_size[e.id]
-                  for e in self.edges]
-        setter = [[0] * self.dom_size[e.id] for e in self.edges]  # bit of the frame that set an entry
-        sizes = [self.size[e.id] for e in self.edges]
-        dom_cols, sym = self.dom_cols, self.sym
+        rows = list(map(list.copy, self.rows))
+        tables = [list(pinned[eid]) if eid in pinned else blank.copy() for eid, blank in self.blank]
+        setter = list(map(list.copy, self.setter))  # bit of the frame that set an entry
+        sizes, dom_cols, sym = self.sizes, self.dom_cols, self.sym
         # per check, the index of the row that first stored each key
-        checks_at = [[({}, key_of, want_of, blame) for key_of, want_of, blame in at]
-                     for at in self.checks_at]
+        checks_at = [[({}, *check) for check in at] for at in self.checks_at]
         used = [0] * n  # values in use per edge (restricted growth)
         frames: list = []  # [tuple, position, entry, value, top, used before, trail mark, blamed]
         trail: list = []  # (seen, key) inserted by the checks, in order

@@ -263,9 +263,9 @@ _GADGET_CASES = [
     ("xor-gate", "--b 2", (16, 2), ("xor_gate", [], 4, 3)),
     ("xor-gate", "--b 2 --w 2", (256, 4), ("cond_xor_gate", ["W"], 4, 3)),
     ("tristate", "", (81, 12), ("tristate_checker", [], 7, 6)),
-    ("tristate", "--w 2", (81, 12), ("cond_tristate_checker", ["W"], 7, 6)),
+    ("tristate", "--w 2", _NO_W_FAMILY.format("tristate"), ("cond_tristate_checker", ["W"], 7, 6)),
     ("tristate", "--b 2", (81, 12), ("tristate_checker", [], 7, 6)),
-    ("tristate", "--b 2 --w 2", (81, 12), ("cond_tristate_checker", ["W"], 7, 6)),
+    ("tristate", "--b 2 --w 2", _NO_W_FAMILY.format("tristate"), ("cond_tristate_checker", ["W"], 7, 6)),
     ("tristate-gate", "", (81, 12), ("tristate_gate", [], 7, 6)),
     ("tristate-gate", "--w 2", _NO_W_FAMILY.format("tristate-gate"), ("cond_tristate_gate", ["W"], 7, 6)),
     ("tristate-gate", "--b 2", (81, 12), ("tristate_gate", [], 7, 6)),
@@ -273,7 +273,7 @@ _GADGET_CASES = [
     ("bstate", "", "bstate needs --b", "bstate needs --b"),
     ("bstate", "--w 2", "bstate needs --b", "bstate needs --b"),
     ("bstate", "--b 2", (81, 12), ("bstate2_checker", [], 7, 6)),
-    ("bstate", "--b 2 --w 2", (81, 12), ("cond_bstate2_checker", ["W"], 7, 6)),
+    ("bstate", "--b 2 --w 2", _NO_W_FAMILY.format("bstate"), ("cond_bstate2_checker", ["W"], 7, 6)),
     ("switch", "", (256, 8), ("switch_gate", [], 11, 11)),
     ("switch", "--w 2", _NO_W_FAMILY.format("switch"), ("cond_switch_gate", ["W"], 11, 11)),
     ("switch", "--b 2", (256, 8), ("switch_gate", [], 11, 11)),
@@ -285,7 +285,7 @@ _GADGET_CASES = [
     ("set", "", "set needs --n", "set needs --n"),
     ("set", "--w 2", "set needs --n", "set needs --n"),
     ("set", "--b 2 --n 2", (4, 2), ("set2_checker", [], 10, 8)),
-    ("set", "--b 2 --n 2 --w 2", (4, 2), ("cond_set2_checker", ["W"], 10, 8)),
+    ("set", "--b 2 --n 2 --w 2", _NO_W_FAMILY.format("set"), ("cond_set2_checker", ["W"], 10, 8)),
     ("virtual-eq", "", (4, 2), "port W needs --b to fix its alphabet"),
     ("virtual-eq", "--w 2", (16, 4), ("cond_virtual_equality_checker", ["W1"], 9, 8)),
     ("virtual-eq", "--b 2", (4, 2), ("virtual_equality_checker", [], 9, 8)),

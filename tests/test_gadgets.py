@@ -207,6 +207,20 @@ def test_entry_search_agrees_with_brute_force(spec):
     assert set(found) == brute_force_tables(base, exs, pending)
 
 
+@pytest.mark.parametrize("gadget, accepted", [
+    (G.cond_virtual_or_checker(2, 2), 9),
+    (G.cond_virtual_equality_checker(2, 2), 4),
+], ids=["cond-virtual-or-2x2", "cond-virtual-eq-2x2"])
+def test_entry_order_agrees_with_network_oracle(gadget, accepted):
+    # the entry search sets next the entry sharing the most collision groups,
+    # which interleaves the W1 slices' entries; on the whole conditional
+    # virtual families it accepts what the network oracle accepts
+    family = F.theta_grid_family(2, 2)
+    net = G.accepted_set(gadget, family, 1)
+    assert entry_keys(G.entropy_accepted_set(gadget, family, 1)) == entry_keys(net)
+    assert len(net) == accepted
+
+
 def test_xor_checker_accepts_parity_only():
     fam = F.xor_family()
     acc = G.accepted_set(G.xor_checker(), fam, 2)
@@ -561,6 +575,7 @@ def test_shared_setup_matches_fresh_solves(gadget, family, k):
         comp = G._embedding(gadget, entry, k, {})
         fresh = solve_at_k(comp.net, k, SolveOptions(pins=dict(comp.pins)))
         assert (got.status, got.searched) == (fresh.status, fresh.searched), entry_keys([entry])
+        assert got.scheme == fresh.scheme
         if got.solvable:
             assert verify_scheme(comp.net, got.scheme).ok
             assert all(got.scheme.encodings[e] == t for e, t in comp.pins.items())

@@ -1,6 +1,9 @@
+import copy
+import dataclasses
 import itertools
 import json
 import math
+import operator
 import random
 from typing import Optional
 
@@ -292,22 +295,58 @@ def random_table(rng: random.Random, net: Network, e: Edge, k: int) -> tuple:
     return tuple(rng.randrange(resolve_size(e.size, k)) for _ in range(dom))
 
 
-def test_a_run_keeps_no_state_in_its_setup(butterfly):
-    # the keys, the trail and the rows of a run are its own: the setup's
-    # attributes keep their objects and their sizes, and gain only the count
-    net = butterfly.net
-    bottleneck = next(e.id for e in net.edges if e.tail not in net.broadcast)
-    search = _Search(net, 2, [bottleneck])
+def test_a_run_keeps_no_state_in_its_setup(butterfly, classic_butterfly):
+    # the keys, the trail, the rows and the tables of a run are its own: the
+    # setup's attributes keep their objects and their contents (the run
+    # templates included), and gain only the count.  The parity gate's one
+    # tabled edge is pinned, so its runs set no entry; the classic
+    # butterfly's runs search the edges left free
+    for net in (butterfly.net, classic_butterfly):
+        pinned = next(e.id for e in net.edges if e.tail not in net.broadcast)
+        search = _Search(net, 2, [pinned])
 
-    def state():
-        return {name: (id(v), len(v) if hasattr(v, "__len__") else v)
-                for name, v in vars(search).items() if name != "searched"}
+        def state():
+            return {name: v for name, v in vars(search).items() if name != "searched"}
 
-    before = state()
-    for table in itertools.product(range(2), repeat=4):
-        out = search.decide({bottleneck: table}, None)
-        assert out.searched == solve_at_k(net, 2, SolveOptions(pins={bottleneck: table})).searched
-        assert state() == before
+        ids = {name: id(v) for name, v in state().items()}
+        # the checks' key readers compare by identity, so the copy shares them
+        readers = {id(f): f for at in search.checks_at for check in at for f in check if callable(f)}
+        before = copy.deepcopy(state(), readers)
+        searched = 0
+        for table in itertools.product(range(2), repeat=search.dom_size[pinned]):
+            out = search.decide({pinned: table}, None)
+            assert out.searched == solve_at_k(net, 2, SolveOptions(pins={pinned: table})).searched
+            assert {name: id(v) for name, v in state().items()} == ids
+            assert state() == before
+            searched += out.searched
+        assert searched > 0 or net is butterfly.net
+
+
+def test_one_network_answers_every_k_as_fresh_copies_do(classic_butterfly):
+    # the evaluation layout is kept on the network, one per k: one network
+    # asked at k=2, then k=3, then k=2 again derives and verifies as a fresh
+    # copy does each time, for a scheme that decodes and one that does not
+    net = dataclasses.replace(classic_butterfly)
+
+    def encodings(k: int, mix) -> dict:
+        same = tuple(range(k))
+        return {"s1>m": same, "s1>t1": same, "s2>m": same, "s2>t2": same,
+                "m>c": tuple(mix(a, b) % k for a in range(k) for b in range(k)),
+                "c>t1": same, "c>t2": same}
+
+    reports = []
+    for k in (2, 3, 2):
+        for mix in (operator.add, lambda a, b: 0):
+            fresh = dataclasses.replace(classic_butterfly)
+            got, want = derive_decodings(net, k, encodings(k, mix)), derive_decodings(fresh, k, encodings(k, mix))
+            assert got == want
+            reports.append(verify_scheme(net, got))
+            assert reports[-1] == verify_scheme(fresh, want)
+            # the same tables read at the other k fit no domain
+            other = CodingScheme(5 - k, got.encodings, got.decodings)
+            assert verify_scheme(net, other) == verify_scheme(dataclasses.replace(classic_butterfly), other)
+            assert not verify_scheme(net, other).ok
+    assert [rep.violations for rep in reports] == [(), (("decode", "t1"), ("decode", "t2"))] * 3
 
 
 def test_one_setup_serves_runs_with_other_pins():
