@@ -287,10 +287,18 @@ def _theta_free_cover(n: int, theta: set) -> list:
     and together cover every other n-bit pattern, computed without
     enumerating the 2^n points: split on the coordinates in order, emitting a
     prefix once no theta pattern agrees with it; then widen each cube by
-    dropping every fixed coordinate whose removal keeps it theta-free; then
-    drop duplicates (first occurrence kept).  Patterns and cubes are ints
-    with bit i for coordinate i; a cube is ``(mask, value)`` over its fixed
-    coordinates, and pattern t lies in it when ``t & mask == value``."""
+    dropping, in ascending order, every fixed coordinate whose removal keeps
+    it theta-free; then drop duplicates (first occurrence kept).  Patterns
+    and cubes are ints with bit i for coordinate i; a cube is ``(mask,
+    value)`` over its fixed coordinates, and pattern t lies in it when
+    ``t & mask == value``.
+
+    Dropping a coordinate only removes disagreements, and the coordinates
+    above the one being dropped are all still fixed.  So a pattern can only
+    force the highest coordinate it disagrees on to stay fixed, and it does
+    exactly when the widening has dropped every lower coordinate it
+    disagrees on: one pass over the disagreement masks in ascending order
+    gives the kept mask."""
     thetas = [sum(a << i for i, a in enumerate(t)) for t in sorted(theta)]
     cubes = []
     stack = [(0, 0, thetas)]  # (mask, value) of a prefix, theta patterns in it
@@ -305,10 +313,11 @@ def _theta_free_cover(n: int, theta: set) -> list:
             stack.append((mask | bit, value, [t for t in agree if not t & bit]))
     out, seen = [], set()
     for mask, value in cubes:
-        for i in range(mask.bit_length()):
-            wider = mask & ~(1 << i)
-            if wider != mask and not any(t & wider == value & wider for t in thetas):
-                mask, value = wider, value & wider
+        kept = 0
+        for d in sorted((t ^ value) & mask for t in thetas):
+            if not d & kept:
+                kept |= 1 << d.bit_length() - 1
+        mask, value = kept, value & kept
         if (mask, value) not in seen:
             seen.add((mask, value))
             out.append({i: value >> i & 1 for i in range(n) if mask >> i & 1})
@@ -338,9 +347,11 @@ def set_checker(n: int, theta: Iterable[tuple]) -> Gadget:
         for a in (0, 1):
             sigs[(i, a)] = b.signal_in(f"Z{i}_{a}", 2)
     for cube in _theta_free_cover(n, allowed):
-        label = "ex" + "".join(str(cube.get(i, "-")) for i in range(n))
+        label = ["-"] * n
+        for i, a in cube.items():
+            label[i] = str(a)
         picks = [sigs[(i + 1, cube[i])] for i in sorted(cube)]
-        b.demand(label, ["M1"], picks)
+        b.demand("ex" + "".join(label), ["M1"], picks)
     return b.build()
 
 

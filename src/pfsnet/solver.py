@@ -28,6 +28,17 @@ point whose domain restricted growth capped needs no extra blame:
 relabelling its edge maps any solution that gives it a value above the cap
 onto one that gives it the cap.
 
+Value order is conflict weighting in the spirit of Boussemart, Hemery,
+Lecoutre & Sais 2004: each conflict that lands on a branch point holding
+value x (a failed check, or the conflict set an exhausted branch point
+passes on; not the jump after a solution) counts one failure of x at that
+entry, a (searched edge, table index) pair.  A new branch point tries its
+values in ascending order of their counts at its entry, ties in ascending
+value order.  The counts belong to the run and outlive the branch point, so
+a later tuple that reaches a dropped entry again starts from its
+least-failed value.  Each value is still tried once, so the order changes
+neither the conflict sets nor completeness.
+
 ``naive_solve_at_k`` is a deliberately independent oracle that enumerates all
 table combinations with no pruning and no symmetry breaking.
 """
@@ -280,9 +291,10 @@ class _Search:
     domain columns, their symmetry eligibility and the frontier-cut checks.
     A run (``solutions`` or ``decide``) takes the pin tables and the budget
     and starts from copies of the setup's rows and tables and from fresh
-    keys and trail, so one setup serves any number of runs that differ only
-    in their pin tables.  What a network's evaluation needs at k (edge
-    order, table domains, message tuples) is the network's ``_layout``.
+    keys, trail and failure counts, so one setup serves any number of runs
+    that differ only in their pin tables.  What a network's evaluation needs
+    at k (edge order, table domains, message tuples) is the network's
+    ``_layout``.
     """
 
     def __init__(self, net: Network, k: int, pinned: Collection[str] = (),
@@ -463,9 +475,14 @@ class _Search:
         # per check, the index of the row that first stored each key
         checks_at = [[({}, *check) for check in at] for at in self.checks_at]
         used = [0] * n  # values in use per edge (restricted growth)
-        frames: list = []  # [tuple, position, entry, value, top, used before, trail mark, blamed]
+        # per entry (d * n + p), how often a conflict landed on each value
+        fails: dict = {}
+        # [tuple, position, table index, place in order, top, used before,
+        #  trail mark, blamed, value order (None: ascending), entry]
+        frames: list = []
         trail: list = []  # (seen, key) inserted by the checks, in order
         ti = p = 0
+        solved = False  # the next jump follows a yielded solution
         while True:
             # evaluate forward until a check fails, an entry is reached for
             # the first time (a new frame), or every tuple has passed; then
@@ -503,25 +520,36 @@ class _Search:
                     conflict = setter[p][d] = 1 << len(frames)
                     row[width + base + p] = conflict | under
                     top = min(used[p], sizes[p] - 1) if sym[p] else sizes[p] - 1
-                    frames.append([ti, p, d, -1, top, used[p], len(trail), 0])
+                    # least-failed value first, ties in ascending value order
+                    entry = d * n + p
+                    counts = fails.get(entry)
+                    order = None if counts is None else sorted(range(top + 1), key=counts.__getitem__)
+                    frames.append([ti, p, d, -1, top, used[p], len(trail), 0, order, entry])
                 break
             else:
                 yield self._tables(tables, pinned)
                 conflict = (1 << len(frames)) - 1
-            # jump to the newest blamed frame, dropping the newer ones, and
-            # move it to its next value; an exhausted frame blames what it
-            # collected
+                solved = True
+            # jump to the newest blamed frame, dropping the newer ones, count
+            # a failure of its value and move it to its next value; an
+            # exhausted frame blames what it collected
             while conflict:
                 h = conflict.bit_length() - 1
                 while len(frames) > h + 1:
-                    _, fp, d, _, _, before, _, _ = frames.pop()
+                    _, fp, d, _, _, before, _, _, _, _ = frames.pop()
                     tables[fp][d] = -1
                     used[fp] = before
                 frame = frames[h]
-                fti, fp, d, x, top, before, mark, blamed = frame
+                fti, fp, d, i, top, before, mark, blamed, order, entry = frame
+                if i >= 0 and not solved:
+                    counts = fails.get(entry)
+                    if counts is None:
+                        counts = fails[entry] = [0] * sizes[fp]
+                    counts[i if order is None else order[i]] += 1
+                solved = False
                 blamed |= conflict ^ (1 << h)
-                x += 1
-                if x > top:
+                i += 1
+                if i > top:
                     conflict = blamed  # the next jump drops the frame
                     continue
                 while len(trail) > mark:
@@ -530,7 +558,8 @@ class _Search:
                 if budget is not None and self.searched >= budget:
                     raise BudgetExhausted(self.k)
                 self.searched += 1
-                frame[3] = x
+                x = i if order is None else order[i]
+                frame[3] = i
                 frame[7] = blamed
                 tables[fp][d] = x
                 used[fp] = max(before, x + 1)

@@ -29,8 +29,8 @@ from .solver import CapExceeded
 
 
 # reduce builds one switch per nonempty proper colour subset, 2^N - 2 of
-# them; 8 colours build in about 0.65 s (2-vCPU Xeon, Python 3.11), and each
-# colour more takes about 3.3 times as long
+# them; 8 colours build in about 0.2 s (2-vCPU Xeon, Python 3.11), and each
+# colour more takes about 2.7 times as long
 MAX_REDUCE_COLORS = 8
 
 HORIZONTAL = "h"

@@ -411,7 +411,7 @@ def test_symmetry_breaking_needs_no_blame_for_restricted_growth():
     assert outcomes == {Status.SOLVABLE, Status.UNSOLVABLE_AT_K}
 
 
-BUTTERFLY_TRIALS = {2: 47, 3: 199, 4: 1_500, 5: 33_018}
+BUTTERFLY_TRIALS = {2: 40, 3: 153, 4: 553, 5: 7_940, 6: 7_023}
 
 
 @pytest.mark.parametrize("k", sorted(BUTTERFLY_TRIALS))
@@ -446,6 +446,29 @@ def test_enumerate_covers_unreached_entries():
     schemes = enumerate_solutions(net, 1)
     got = [tuple(sorted(s.encodings.items())) for s in schemes]
     assert len(naive) == 96 and len(got) == len(set(got)) and set(got) == naive
+
+
+def test_enumerate_finds_every_scheme_naive_enumeration_finds():
+    # each frame tries its values in the order of their past failures at its
+    # entry, and still tries each value once: on random small networks the
+    # search yields exactly the encodings that pass the naive oracle when
+    # every table is pinned
+    rng = random.Random(20261020)
+    counts = []
+    for trial in range(40):
+        net = random_pruning_net(rng, naive_cap=400)
+        tabled = [e for e in net.edges if e.tail not in net.broadcast]
+        for k in (1, 2):
+            spaces = [itertools.product(range(resolve_size(e.size, k)),
+                                        repeat=math.prod(s for _, s in table_domain(net, k, e.tail)))
+                      for e in tabled]
+            ids = [e.id for e in tabled]
+            naive = {tuple(sorted(zip(ids, combo))) for combo in itertools.product(*spaces)
+                     if naive_solve_at_k(net, k, pins=dict(zip(ids, combo)))}
+            got = [tuple(sorted(s.encodings.items())) for s in enumerate_solutions(net, k)]
+            assert len(got) == len(set(got)) and set(got) == naive, (trial, k, net)
+            counts.append(len(naive))
+    assert 0 in counts and max(counts) > 100
 
 
 def test_deep_network_no_recursion_error():

@@ -229,6 +229,33 @@ def test_reduced_one_condition_program_agrees_with_torus(kind, where, colour):
         assert verify_scheme(net, out.scheme).ok
 
 
+# every 2-colour program with one or two conditions: 12 + 66
+PROGRAMS = [conds for r in (1, 2) for conds in itertools.combinations(
+    [kind(where, frozenset({colour})) for kind, where, colour in ONE_CONDITIONS], r)]
+# the programs whose search exhausts its budget at each k; a pin may only fall
+EXHAUSTED = {2: 0, 3: 0}
+
+
+@pytest.mark.parametrize("k, programs", [(2, PROGRAMS), (3, PROGRAMS[:12])], ids=["k2", "k3"])
+def test_reduced_programs_agree_with_torus(k, programs):
+    # the select signal addresses 2k x 2k cells: k=2 is the 4x4 torus and
+    # k=3 the 6x6 torus.  An exhausted search is skipped and counted, never
+    # passed
+    assert len(programs) == {2: 78, 3: 12}[k]
+    exhausted = 0
+    for conds in programs:
+        prog = T.ConditionProgram(2, conds)
+        net = T.reduce(prog)
+        out = solve_at_k(net, k, SolveOptions(node_budget=200_000))
+        if out.status is Status.BUDGET_EXHAUSTED:
+            exhausted += 1
+            continue
+        assert out.solvable == (T.torus_bruteforce(prog, 2 * k, 2 * k) is not None), conds
+        if out.solvable:
+            assert verify_scheme(net, out.scheme).ok
+    assert exhausted <= EXHAUSTED[k]
+
+
 def test_reduced_empty_3_colour_net_solvable_at_k2():
     net = T.reduce(T.ConditionProgram(3, ()))
     out = solve_at_k(net, 2, SolveOptions(node_budget=20_000))
