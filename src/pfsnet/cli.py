@@ -20,6 +20,7 @@ from .model import (
     FormatError,
     InvalidNetwork,
     deserialize,
+    load_json,
     scheme_to_json_dict,
     serialize,
     to_dot,
@@ -194,7 +195,7 @@ def _cmd_sweep(args) -> int:
 def _load_theta(args):
     if args.theta is None:
         return [tuple(int(i == j) for j in range(args.n)) for i in range(args.n)]
-    doc = json.loads(_read(args.theta))
+    doc = load_json(_read(args.theta))
     if not isinstance(doc, list) or not all(isinstance(row, list) for row in doc):
         raise FormatError(f"{args.theta}: expected a list of 0/1 lists")
     return [tuple(row) for row in doc]
@@ -376,7 +377,7 @@ def run(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return _DRIVERS[args.command](args)
-    except (_UsageError, FormatError, InvalidNetwork, json.JSONDecodeError) as exc:
+    except (_UsageError, FormatError, InvalidNetwork) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
     except CapExceeded as exc:

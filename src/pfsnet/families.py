@@ -7,7 +7,7 @@ import json
 from typing import Mapping, Optional, Sequence
 
 from .gadgets import CandidateFunction
-from .model import DEFAULT, FormatError, fixed, size_from_json
+from .model import DEFAULT, FormatError, fixed, load_json, size_from_json
 
 
 def all_functions(
@@ -186,10 +186,7 @@ def family_to_json(family: Sequence) -> str:
 def family_from_json(text: str) -> list:
     """Inverse of ``family_to_json``; a malformed document raises FormatError
     naming the index of the first malformed candidate."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
+    doc = load_json(text)
     if not isinstance(doc, list):
         raise FormatError("candidate family: expected a list")
     out = []

@@ -410,12 +410,13 @@ def _virtual_or(arity: int, select: str, size) -> Gadget:
     return b.build()
 
 
-def virtual_or_checker(b: int) -> Gadget:
+def virtual_or_checker(b: int, sized: bool = True) -> Gadget:
     """Attached to a conditional switch output Z0 with message select W of size
     b, accepts exactly when (theta_1, ..., theta_b) is not all-zero.  The
     select must bind to messages: its values are demanded by the buffer
-    construction."""
-    return _virtual_or(b, "W", b)
+    construction.  With ``sized`` False the select takes any size, as when a
+    reduction binds it to a slice of its select signal."""
+    return _virtual_or(b, "W", b if sized else None)
 
 
 def cond_virtual_or_checker(b1: int, b2: int) -> Gadget:

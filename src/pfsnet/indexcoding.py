@@ -13,12 +13,11 @@ and a trial budget turns a search that runs too long into ``BudgetExhausted``.
 from __future__ import annotations
 
 import itertools
-import json
 import operator
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .model import FormatError, resolve_size, size_from_json
+from .model import FormatError, load_json, resolve_size, size_from_json
 from .solver import BudgetExhausted, CapExceeded
 
 
@@ -225,26 +224,8 @@ def brute_force_solvable(inst: IndexInstance, k: int) -> bool:
 # json format
 
 
-def instance_to_json(inst: IndexInstance) -> str:
-    return json.dumps(
-        {
-            "messages": [m.value for m in inst.messages],
-            "a": inst.a,
-            "b": inst.b,
-            "clients": [
-                {"has": sorted(c.has), "wants": sorted(c.wants)} for c in inst.clients
-            ],
-        },
-        indent=2,
-        sort_keys=True,
-    ) + "\n"
-
-
 def instance_from_json(text: str) -> IndexInstance:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
+    doc = load_json(text)
     if not isinstance(doc, dict):
         raise FormatError("instance: expected a JSON object")
     for key in ("messages", "a", "b", "clients"):

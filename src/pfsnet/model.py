@@ -326,6 +326,14 @@ def serialize(net: Network) -> str:
     )
 
 
+def load_json(text: str) -> object:
+    """``json.loads``, with a syntax error raised as FormatError at its place."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
+
+
 def _require(doc: Mapping, key: str, where: str = "document") -> object:
     if key not in doc:
         raise FormatError(f"{where}: missing field {key!r}")
@@ -355,10 +363,7 @@ def _raise_item_fault(where: str, item: object, fields: tuple) -> None:
 
 
 def deserialize(text: str) -> Network:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
+    doc = load_json(text)
     if not isinstance(doc, dict):
         raise FormatError("document: expected a JSON object")
     version = _require(doc, "version")

@@ -13,6 +13,19 @@ conditional switch per nonempty proper subset of the colors (addressed by the
 select signal (X1, U, Y1, V)), a conditional set checker restricting the
 switch states to color codewords, and one conditional equality/OR checker per
 program condition.
+
+Each condition kind is one class and one row of ``_KINDS``: its JSON type and
+place key, its places with the select slices its checker binds at each, its
+torus cells and predicate, and the checker gadget of the reduction.
+
+Programs whose faces are all of one type are satisfiable on some torus if and
+only if they color the 2x2 torus.  A 2x2 coloring repeats onto every even
+torus: each edge and each face lands on an edge or the face of the 2x2 torus,
+whose one type-11 face and one type-22 face are the same four cells.
+Conversely, take a valid coloring and the 2x2 window at even-even corners
+(faces of type 11) or odd-odd corners (type 22).  Its face is a face of the
+big torus, and each of its edges is an edge of the big torus, or that edge
+reversed; every edge condition is symmetric in its two cells.
 """
 
 from __future__ import annotations
@@ -20,10 +33,10 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import gadgets
-from .model import DEFAULT, FormatError, Network, ValidationReport, fixed
+from .model import DEFAULT, FormatError, Network, ValidationReport, fixed, load_json
 from .gadgets import Out
 from .solver import CapExceeded
 
@@ -40,30 +53,24 @@ FACE_22 = "22"
 
 
 @dataclass(frozen=True)
-class EdgeEq:
-    orientation: str
+class _Condition:
+    place: str  # an orientation for edge conditions, a face type for faces
     colors: frozenset
 
     def __post_init__(self):
         object.__setattr__(self, "colors", frozenset(self.colors))
 
 
-@dataclass(frozen=True)
-class EdgeOr:
-    orientation: str
-    colors: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "colors", frozenset(self.colors))
+class EdgeEq(_Condition):
+    """On every edge: both ends are in the set, or neither is."""
 
 
-@dataclass(frozen=True)
-class FaceOr:
-    face_type: str
-    colors: frozenset
+class EdgeOr(_Condition):
+    """On every edge: at least one end is in the set."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "colors", frozenset(self.colors))
+
+class FaceOr(_Condition):
+    """On every face of the type: at least one corner is in the set."""
 
 
 @dataclass(frozen=True)
@@ -73,21 +80,21 @@ class ConditionProgram:
 
     def __post_init__(self):
         object.__setattr__(self, "conditions", tuple(self.conditions))
-        if self.n_colors < 2:
+        n = self.n_colors
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise TypeError(f"the color count must be an int, got {n!r}")
+        if n < 2:
             raise ValueError("a condition program needs at least 2 colors")
-        full = set(range(1, self.n_colors + 1))
         for cond in self.conditions:
-            cs = set(cond.colors)
-            if not cs or cs == full or not cs <= full:
-                raise ValueError(f"color set must be a nonempty proper subset of [1..{self.n_colors}]: {sorted(cs)}")
-            if isinstance(cond, (EdgeEq, EdgeOr)):
-                if cond.orientation not in (HORIZONTAL, VERTICAL):
-                    raise ValueError(f"bad orientation {cond.orientation!r}")
-            elif isinstance(cond, FaceOr):
-                if cond.face_type not in (FACE_11, FACE_22):
-                    raise ValueError(f"bad face type {cond.face_type!r}")
-            else:
+            cs = cond.colors
+            # bounds, not a set of all N colors: N may be huge
+            if not cs or len(cs) >= n or not all(isinstance(c, int) and 1 <= c <= n for c in cs):
+                raise ValueError(f"color set must be a nonempty proper subset of [1..{n}]: {sorted(cs)}")
+            kind = _KINDS.get(type(cond))
+            if kind is None:
                 raise ValueError(f"unknown condition {cond!r}")
+            if cond.place not in kind.slices:
+                raise ValueError(f"bad {kind.key} {cond.place!r}")
 
 
 @dataclass(frozen=True)
@@ -157,18 +164,37 @@ def _faces(width: int, height: int, face_type: str) -> list:
     return out
 
 
+@dataclass(frozen=True)
+class _Kind:
+    type: str  # the JSON "type"
+    key: str  # the JSON key of the place
+    cells: Callable  # (width, height, place) -> the cell tuples it constrains
+    predicate: str  # "eq" or "or", as _satisfied reads it
+    checker: Callable  # () -> the reduction's checker, its select unsized
+    slices: dict  # accepted place -> the select slices its checkers bind
+
+
+_X2 = Out("cycx", "X2")
+_Y2 = Out("cycy", "X2")
+# an edge condition binds two slices: the horizontal edges of a row (y1, Y2)
+# whose cells share x1, and those whose cells share X2; vertical edges alike
+_EDGE_SLICES = {HORIZONTAL: (("x1", "y1", _Y2), (_X2, "y1", _Y2)),
+                VERTICAL: (("x1", _X2, "y1"), ("x1", _X2, _Y2))}
+_KINDS = {
+    EdgeEq: _Kind("edge_eq", "orientation", _edges, "eq", gadgets.virtual_equality_checker, _EDGE_SLICES),
+    EdgeOr: _Kind("edge_or", "orientation", _edges, "or", lambda: gadgets.virtual_or_checker(2, sized=False),
+                  _EDGE_SLICES),
+    FaceOr: _Kind("face_or", "face", _faces, "or", lambda: gadgets.virtual_or_checker(4, sized=False),
+                  {FACE_11: (("x1", "y1"),), FACE_22: ((_X2, _Y2),)}),
+}
+_CLASS_OF_TYPE = {kind.type: cls for cls, kind in _KINDS.items()}
+
+
 def _constraints(program: ConditionProgram, width: int, height: int) -> list:
     out = []
     for cond in program.conditions:
-        if isinstance(cond, EdgeEq):
-            for cells in _edges(width, height, cond.orientation):
-                out.append(("eq", cells, cond.colors))
-        elif isinstance(cond, EdgeOr):
-            for cells in _edges(width, height, cond.orientation):
-                out.append(("or", cells, cond.colors))
-        else:
-            for cells in _faces(width, height, cond.face_type):
-                out.append(("or", cells, cond.colors))
+        kind = _KINDS[type(cond)]
+        out.extend((kind.predicate, cells, cond.colors) for cells in kind.cells(width, height, cond.place))
     return out
 
 
@@ -260,8 +286,6 @@ def reduce(program: ConditionProgram) -> Network:
                 "x1": DEFAULT, "y1": DEFAULT}
     # each distinct gadget is built once and shared by all its parts
     switch = gadgets.cond_switch_gate(None)
-    eq, or2, or4 = (gadgets.conditionalize(g, None, port="C") for g in (
-        gadgets.virtual_equality_checker(), gadgets._virtual_or(2, "W", None), gadgets._virtual_or(4, "W", None)))
     parts = [
         ("cycx", gadgets.cycles_gate(), {"X1": "x1", "U": "u"}),
         ("cycy", gadgets.cycles_gate(), {"X1": "y1", "U": "v"}),
@@ -274,24 +298,18 @@ def reduce(program: ConditionProgram) -> Network:
         set_bind[f"Z{i}_0"] = Out(f"sw{i:02d}", "Z0")
         set_bind[f"Z{i}_1"] = Out(f"sw{i:02d}", "Z1")
     parts.append(("set", gadgets.cond_set_checker(n, theta, None), set_bind))
-    x2 = Out("cycx", "X2")
-    y2 = Out("cycy", "X2")
+    checkers: dict = {}  # each kind's checker is built once, if used
     for ci, cond in enumerate(program.conditions):
-        sw = f"sw{switch_of[cond.colors]:02d}"
-        if isinstance(cond, (EdgeEq, EdgeOr)):
-            if cond.orientation == HORIZONTAL:
-                slices = [("x1", "y1", y2), (x2, "y1", y2)]
-            else:
-                slices = [("x1", x2, "y1"), ("x1", x2, y2)]
-            for tag, slc in zip("ab", slices):
-                if isinstance(cond, EdgeEq):
-                    g, bind = eq, {"M0": "m0", "M1": "m1", "W": select, "Z0": Out(sw, "Z0"), "C": slc}
-                else:
-                    g, bind = or2, {"M1": "m1", "W": select, "Z0": Out(sw, "Z0"), "C": slc}
-                parts.append((f"c{ci:02d}{tag}", g, bind))
-        else:
-            slc = ("x1", "y1") if cond.face_type == FACE_11 else (x2, y2)
-            parts.append((f"c{ci:02d}", or4, {"M1": "m1", "W": select, "Z0": Out(sw, "Z0"), "C": slc}))
+        kind = _KINDS[type(cond)]
+        if kind.type not in checkers:
+            checkers[kind.type] = gadgets.conditionalize(kind.checker(), None, port="C")
+        g = checkers[kind.type]
+        ports = {p.name for p in g.ports}
+        z0 = Out(f"sw{switch_of[cond.colors]:02d}", "Z0")
+        slices = kind.slices[cond.place]
+        for tag, slc in zip("ab" if len(slices) > 1 else [""], slices):
+            bind = {"M0": "m0", "M1": "m1", "W": select, "Z0": z0, "C": slc}
+            parts.append((f"c{ci:02d}{tag}", g, {p: v for p, v in bind.items() if p in ports}))
     return gadgets.compose(parts, messages).net
 
 
@@ -302,20 +320,13 @@ def reduce(program: ConditionProgram) -> Network:
 def program_to_json(program: ConditionProgram) -> str:
     conds = []
     for cond in program.conditions:
-        if isinstance(cond, EdgeEq):
-            conds.append({"type": "edge_eq", "orientation": cond.orientation, "set": sorted(cond.colors)})
-        elif isinstance(cond, EdgeOr):
-            conds.append({"type": "edge_or", "orientation": cond.orientation, "set": sorted(cond.colors)})
-        else:
-            conds.append({"type": "face_or", "face": cond.face_type, "set": sorted(cond.colors)})
+        kind = _KINDS[type(cond)]
+        conds.append({"type": kind.type, kind.key: cond.place, "set": sorted(cond.colors)})
     return json.dumps({"colors": program.n_colors, "conditions": conds}, indent=2, sort_keys=True) + "\n"
 
 
 def program_from_json(text: str) -> ConditionProgram:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
+    doc = load_json(text)
     if not isinstance(doc, dict) or "colors" not in doc or "conditions" not in doc:
         raise FormatError("program: expected object with 'colors' and 'conditions'")
     if not isinstance(doc["conditions"], list):
@@ -325,18 +336,13 @@ def program_from_json(text: str) -> ConditionProgram:
         where = f"conditions[{i}]"
         if not isinstance(cd, dict):
             raise FormatError(f"{where}: expected an object")
-        kind = cd.get("type")
         cs = cd.get("set")
         if not isinstance(cs, list) or not all(isinstance(c, int) and not isinstance(c, bool) for c in cs):
             raise FormatError(f"{where}: expected a color set (list of ints)")
-        if kind == "edge_eq":
-            conds.append(EdgeEq(cd.get("orientation", ""), frozenset(cs)))
-        elif kind == "edge_or":
-            conds.append(EdgeOr(cd.get("orientation", ""), frozenset(cs)))
-        elif kind == "face_or":
-            conds.append(FaceOr(cd.get("face", ""), frozenset(cs)))
-        else:
-            raise FormatError(f"{where}: unknown type {kind!r}")
+        cls = _CLASS_OF_TYPE.get(cd.get("type"))
+        if cls is None:
+            raise FormatError(f"{where}: unknown type {cd.get('type')!r}")
+        conds.append(cls(cd.get(_KINDS[cls].key, ""), frozenset(cs)))
     try:
         return ConditionProgram(doc["colors"], tuple(conds))
     except (ValueError, TypeError) as exc:

@@ -101,8 +101,9 @@ def input_files(butterfly_file, tmp_path):
     """Paths by name: a good network, instance and program, and the bad
     inputs (a cyclic network, a network and an instance with a number where
     a list belongs, instances whose output bound has a non-integer ``a`` or
-    ``b``, programs whose conditions are not a list of objects, thetas of
-    the wrong width or with a float, string or bool entry, candidate
+    ``b``, programs whose conditions are not a list of objects, thetas that
+    are not JSON or not a list of lists, of the wrong width or with a float,
+    string or bool entry, candidate
     families that do not parse or do not fit xor)."""
     cyclic = {"version": 1,
               "nodes": [{"id": "a", "broadcast": False}, {"id": "b", "broadcast": False}],
@@ -133,6 +134,8 @@ def input_files(butterfly_file, tmp_path):
         "theta_float": "[[1.5, 0]]",
         "theta_str": '[["0", 1]]',
         "theta_bool": "[[true, 0]]",
+        "theta_not_json": "[[1, 0]",
+        "theta_flat": "[1, 0]",
         "family_no_inputs": json.dumps([{k: v for k, v in candidate.items() if k != "inputs"}]),
         "family_wrong_size": json.dumps([dict(candidate, size=3)]),
         "family_str_values": json.dumps([dict(candidate, values=["0"] * len(candidate["values"]))]),
@@ -161,6 +164,8 @@ def input_files(butterfly_file, tmp_path):
     ["gadget-build", "set", "--n", "2", "--theta", "{theta_float}"],
     ["gadget-build", "set", "--n", "2", "--theta", "{theta_str}"],
     ["gadget-build", "set", "--n", "2", "--theta", "{theta_bool}"],
+    ["gadget-build", "set", "--n", "2", "--theta", "{theta_not_json}"],
+    ["gadget-build", "set", "--n", "2", "--theta", "{theta_flat}"],
     ["verify-checker", "xor", "--k", "2", "--family", "{family_no_inputs}"],
     ["verify-checker", "xor", "--k", "2", "--family", "{family_wrong_size}"],
     ["verify-checker", "xor", "--k", "2", "--family", "{family_str_values}"],
