@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 import traceback
@@ -196,8 +197,11 @@ def _load_theta(args):
     if args.theta is None:
         return [tuple(int(i == j) for j in range(args.n)) for i in range(args.n)]
     doc = load_json(_read(args.theta))
-    if not isinstance(doc, list) or not all(isinstance(row, list) for row in doc):
-        raise FormatError(f"{args.theta}: expected a list of 0/1 lists")
+    # a bool, float or string entry is refused, not read as the bit it equals
+    if not isinstance(doc, list) or not doc or not all(
+            isinstance(row, list) and len(row) == args.n and all(type(x) is int and x in (0, 1) for x in row)
+            for row in doc):
+        raise FormatError(f"{args.theta}: expected a nonempty list of {args.n}-bit 0/1 lists")
     return [tuple(row) for row in doc]
 
 
@@ -210,39 +214,44 @@ def _xor_family(args):
     return families.cond_xor_family(args.w) if args.w else families.xor_family()
 
 
-# the gadgets by name: the flag the gadget requires, if any; the gadget built
-# from the parsed --b/--n/--theta/--w; its default candidate family for
-# verify-checker, None where it has no default family conditioned on W
+# the gadgets by name: the flag the gadget requires, if any, and its lower
+# bound; the gadget built from the parsed --b/--n/--theta/--w; its default
+# candidate family for verify-checker, None where it has no default family
+# conditioned on W
 _GADGETS = {
-    "xor": ("", lambda a: gadgets.xor_checker(), _xor_family),
-    "xor-gate": ("", lambda a: gadgets.xor_gate(), _xor_family),
-    "tristate": ("", lambda a: gadgets.tristate_checker(), lambda a: None if a.w else families.tristate_family()),
-    "tristate-gate": ("", lambda a: gadgets.tristate_gate(), lambda a: None if a.w else families.tristate_family()),
-    "bstate": ("b", lambda a: gadgets.bstate_checker(a.b), lambda a: None if a.w else families.bstate_family(a.b)),
-    "switch": ("", lambda a: gadgets.switch_gate(), lambda a: None if a.w else families.switch_family()),
-    "cycles": ("", lambda a: gadgets.cycles_gate(), lambda a: None if a.w else families.cycles_family(a.k)),
-    "set": ("n", lambda a: gadgets.set_checker(a.n, _load_theta(a)), lambda a: None if a.w else families.set_family(a.n)),
-    "virtual-eq": ("", lambda a: gadgets.cond_virtual_equality_checker(a.w, a.b or 2) if a.w
+    "xor": ((), lambda a: gadgets.xor_checker(), _xor_family),
+    "xor-gate": ((), lambda a: gadgets.xor_gate(), _xor_family),
+    "tristate": ((), lambda a: gadgets.tristate_checker(), lambda a: None if a.w else families.tristate_family()),
+    "tristate-gate": ((), lambda a: gadgets.tristate_gate(), lambda a: None if a.w else families.tristate_family()),
+    "bstate": (("b", 2), lambda a: gadgets.bstate_checker(a.b), lambda a: None if a.w else families.bstate_family(a.b)),
+    "switch": ((), lambda a: gadgets.switch_gate(), lambda a: None if a.w else families.switch_family()),
+    "cycles": ((), lambda a: gadgets.cycles_gate(), lambda a: None if a.w else families.cycles_family(a.k)),
+    "set": (("n", 1), lambda a: gadgets.set_checker(a.n, _load_theta(a)),
+            lambda a: None if a.w else families.set_family(a.n)),
+    "virtual-eq": ((), lambda a: gadgets.cond_virtual_equality_checker(a.w, a.b or 2) if a.w
                    else gadgets.virtual_equality_checker(), _theta_family),
-    "virtual-or": ("b", lambda a: gadgets.cond_virtual_or_checker(a.w, a.b) if a.w
+    "virtual-or": (("b", 2), lambda a: gadgets.cond_virtual_or_checker(a.w, a.b) if a.w
                    else gadgets.virtual_or_checker(a.b), _theta_family),
 }
 
 
 def _make_gadget(args):
     """The named gadget at the given flags, conditioned on a W of size --w
-    unless the builder already gave it a condition port; a parameter the
-    builder rejects is a usage error."""
-    needs, build, _ = _GADGETS[args.name]
-    if needs and getattr(args, needs) is None:
-        raise _UsageError(f"{args.name} needs --{needs}")
-    try:
-        g = build(args)
-        if args.w and not any(p.kind is gadgets.PortKind.CONDITION_IN for p in g.ports):
-            g = gadgets.conditionalize(g, args.w)
-        return g
-    except ValueError as exc:
-        raise _UsageError(f"{args.name}: {exc}") from exc
+    unless the builder already gave it a condition port.  A required flag
+    that is missing or below its bound is a usage error; the flags' bounds
+    and ``_load_theta`` refuse every parameter a builder refuses, so an
+    error a builder raises is internal."""
+    required, build, _ = _GADGETS[args.name]
+    if required:
+        flag, low = required
+        if getattr(args, flag) is None:
+            raise _UsageError(f"{args.name} needs --{flag}")
+        if getattr(args, flag) < low:
+            raise _UsageError(f"{args.name}: --{flag} must be >= {low}, got {getattr(args, flag)}")
+    g = build(args)
+    if args.w and not any(p.kind is gadgets.PortKind.CONDITION_IN for p in g.ports):
+        g = gadgets.conditionalize(g, args.w)
+    return g
 
 
 def _cmd_gadget_build(args) -> int:
@@ -273,31 +282,25 @@ def _cmd_verify_checker(args) -> int:
             raise _UsageError(f"{args.name} has no default family conditioned on W; pass one with --family")
     sizes = {p.name: args.b or 2 for p in g.ports if p.size is None}
     try:
-        net_acc = gadgets.accepted_set(g, family, args.k, sizes=sizes)
+        entries = gadgets._normalize_family(g, family)
+        net = [o.solvable for o in gadgets._verdicts(
+            entries, lambda first: gadgets._pinned_search(g, first, args.k, sizes))]
     except gadgets.ComposeError as exc:
         if not args.family:
             raise
         raise FormatError(f"{args.family} does not fit {g.name}: candidate {exc.index}: {exc}") from exc
-    ent_acc = gadgets.entropy_accepted_set(g, family, args.k, sizes=sizes)
-
-    def key(entry):
-        return tuple(sorted((name, tuple(sorted(cf.table.items()))) for name, cf in entry.items()))
-
-    net_keys = [key(e) for e in net_acc]
-    agreement = net_keys == [key(e) for e in ent_acc]
-    norm = gadgets._normalize_family(g, family)
-    accepted_keys = set(net_keys)
-    accepted_idx = [i for i, e in enumerate(norm) if key(e) in accepted_keys]
+    ent = gadgets._verdicts(entries, lambda first: gadgets._SupportLayout(g, first, args.k, sizes).holds)
+    agreement = net == list(ent)
     _emit({
         "command": "verify-checker",
         "name": g.name,
         "k": args.k,
         "family_size": len(family),
-        "accepted": len(net_acc),
-        "accepted_indices": accepted_idx,
+        "accepted": sum(net),
+        "accepted_indices": [i for i, ok in enumerate(net) if ok],
         "accepted_candidates": [
             {name: families.candidate_to_json(cf) for name, cf in sorted(e.items())}
-            for e in net_acc
+            for e in itertools.compress(entries, net)
         ],
         "double_oracle_agreement": agreement,
     })

@@ -159,17 +159,22 @@ def candidate_to_json(cf: CandidateFunction) -> dict:
 
 
 def candidate_from_json(doc: Mapping) -> CandidateFunction:
-    inputs = [(d["name"], size_from_json(d["size"], f"candidate input {d['name']!r}"))
-              for d in doc["inputs"]]
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in doc["values"]):
-        raise ValueError("candidate values must be ints")
-    table = {tuple(k): v for k, v in zip(doc["keys"], doc["values"])}
+    """Inverse of ``candidate_to_json``; a field of the wrong type or length raises ValueError."""
+    names, keys, values = [d["name"] for d in doc["inputs"]], doc["keys"], doc["values"]
+    if not all(isinstance(x, str) for x in [doc["output"], *names]):
+        raise ValueError("candidate output and input names must be strings")
+    # a bool or float is refused, not read as the int it equals
+    if not all(type(x) is int for x in [doc["size"], *values]):
+        raise ValueError("candidate size and values must be ints")
+    if len(keys) != len(values) or not all(
+            isinstance(key, list) and len(key) == len(names) and all(type(x) is int for x in key) for key in keys):
+        raise ValueError(f"candidate keys must be {len(values)} lists of {len(names)} ints, one per value")
     return CandidateFunction(
         output=doc["output"],
-        inputs=tuple(name for name, _ in inputs),
-        table=table,
+        inputs=tuple(names),
+        table={tuple(key): v for key, v in zip(keys, values)},
         size=doc["size"],
-        input_sizes=tuple(size for _, size in inputs),
+        input_sizes=tuple(size_from_json(d["size"], f"candidate input {d['name']!r}") for d in doc["inputs"]),
     )
 
 

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from . import entropy
 from .model import DEFAULT, Edge, Network, SizeSpec, fixed, resolve_size
-from .solver import SolveOutcome, _Search
+from .solver import _Search
 
 
 class ComposeError(ValueError):
@@ -77,7 +77,6 @@ class Gadget:
     demand_ports: Mapping[str, tuple]  # node -> demanded message port names
     sig_in: Mapping[str, str]  # SIGNAL_IN port -> distributor node
     sig_out: Mapping[str, tuple]  # SIGNAL_OUT port -> (edge id, distributor node)
-    cond_targets: tuple  # nodes that receive each CONDITION_IN port when bound
     spec: ConditionSpec
 
     def port(self, name: str) -> Port:
@@ -117,7 +116,6 @@ class _Builder:
         self.demand_ports: dict = {}
         self.sig_in: dict = {}
         self.sig_out: dict = {}
-        self.cond_targets: list = []
         self.conditions: list = []
         self.existentials: list = []
         self._n = 0
@@ -148,7 +146,6 @@ class _Builder:
         eid = f"{tag}.{label}.e"
         self.nodes.append((node, False))
         self.nodes.append((dist, True))
-        self.cond_targets.append(node)
         self.edges.append(Edge(eid, node, dist, spec))
         self._feed(node, inputs)
         if out_port is not None:
@@ -178,7 +175,6 @@ class _Builder:
         tag = self._tag()
         node = f"{tag}.{label}"
         self.nodes.append((node, False))
-        self.cond_targets.append(node)
         self.demand_ports[node] = tuple(targets)
         self._feed(node, given)
 
@@ -202,7 +198,6 @@ class _Builder:
             demand_ports=dict(self.demand_ports),
             sig_in=dict(self.sig_in),
             sig_out=dict(self.sig_out),
-            cond_targets=tuple(self.cond_targets),
             spec=ConditionSpec(tuple(self.conditions), tuple(self.existentials)),
         )
 
@@ -759,9 +754,11 @@ class _Composer:
                         if comp not in domain:
                             domain.append(comp)
                 self._pin(prefix + eid, part, name, cf, edge.size, domain)
-        # condition wiring: deliver to every producer/demand node of the part
+        # condition wiring: deliver to every producer/demand node of the part,
+        # the non-broadcast nodes that do not distribute a signal input
+        targets = [v for v, bc in g.nodes if not bc and v not in g.sig_in.values()]
         for wp in cond_ports:
-            for v in g.cond_targets:
+            for v in targets:
                 node = prefix + v
                 for i, comp in enumerate(inject[wp]):
                     if isinstance(comp, str):
@@ -869,53 +866,55 @@ def _embedding(gadget: Gadget, entry: Mapping[str, CandidateFunction], k: Option
     return compose([(gadget.name, gadget, bindings)], messages, k=k)
 
 
-def accepted_set(gadget: Gadget, family: Sequence, k: int,
-                 sizes: Optional[Mapping] = None) -> list:
-    """Candidates accepted by the network oracle: each candidate is pinned
-    into an embedding network (checker internals left free) and kept iff the
-    network is solvable at k.  ``sizes`` instantiates unsized ports.  The
-    embedding and the search setup are built once per candidate shape, and
-    each candidate is one run of the search (see ``_pinned_outcomes``)."""
-    entries = _normalize_family(gadget, family)
-    outcomes = _pinned_outcomes(gadget, entries, k, sizes or {})
-    return [entry for entry, outcome in zip(entries, outcomes) if outcome.solvable]
-
-
 def _shape(entry: Mapping[str, CandidateFunction]) -> tuple:
     """What both oracles build once per candidate: for each pinned port, the
     candidate's inputs in order, their sizes and its output size."""
     return tuple([(port, cf.inputs, cf.input_sizes, cf.size) for port, cf in sorted(entry.items())])
 
 
-def _pinned_outcomes(gadget: Gadget, entries: Sequence[Mapping[str, CandidateFunction]], k: int,
-                     sizes: Mapping) -> Iterator[SolveOutcome]:
-    """For each entry in order, the outcome of ``solve_at_k`` on its
-    embedding with its pins, the same status, ``searched`` count and
-    verified witness.
-
-    The embedding and the search setup depend on a candidate only through
-    its shape (``_shape``), and both are built once per shape, from its
-    first candidate.  Each later candidate of the shape is read with the
-    table keys that composition checked its shape against, so it raises the
-    ``ComposeError`` a fresh composition would (with ``index``, the entry's
-    position), and only its pin tables go to a new run of the search (see
-    ``solver._Search``)."""
-    setups: dict = {}  # shape -> (search setup, the embedding's pin domains)
+def _verdicts(entries: Sequence[Mapping[str, CandidateFunction]], setup) -> Iterator:
+    """For each entry in order, an acceptance oracle's verdict on it.  The
+    oracle's setup depends on a candidate only through its shape
+    (``_shape``): ``setup(first)`` builds it from the shape's first candidate
+    and returns the check that every candidate of the shape is run through.
+    A check reads each candidate with the table keys its shape was checked
+    against, so one that does not fit raises the ``ComposeError`` a fresh
+    setup would, here given the entry's position as ``index``."""
+    checks: dict = {}  # shape -> check
     for index, entry in enumerate(entries):
-        shape = _shape(entry)
-        setup = setups.get(shape)
         try:
-            if setup is None:
-                comp = _embedding(gadget, entry, k, sizes)
-                setup = setups[shape] = _Search(comp.net, k, comp.pins), comp.pin_domains
-                pins = comp.pins
-            else:
-                pins = {eid: _candidate_values(where, entry[port], size, keys)
-                        for eid, (port, where, size, keys) in setup[1].items()}
+            shape = _shape(entry)
+            if shape not in checks:
+                checks[shape] = setup(entry)
+            verdict = checks[shape](entry)
         except ComposeError as exc:
             exc.index = index
             raise
-        yield setup[0].decide(pins, None)
+        yield verdict
+
+
+def _pinned_search(gadget: Gadget, first: Mapping[str, CandidateFunction], k: int, sizes: Mapping):
+    """The network oracle's setup for the shape of ``first``: its embedding
+    and one search setup (see ``solver._Search``).  Its check gives the
+    outcome of ``solve_at_k`` on a candidate's embedding with its pins: the
+    same status, ``searched`` count and verified witness."""
+    comp = _embedding(gadget, first, k, sizes)
+    search = _Search(comp.net, k, comp.pins)
+    return lambda entry: search.decide(
+        {eid: _candidate_values(where, entry[port], size, keys)
+         for eid, (port, where, size, keys) in comp.pin_domains.items()}, None)
+
+
+def accepted_set(gadget: Gadget, family: Sequence, k: int,
+                 sizes: Optional[Mapping] = None) -> list:
+    """Candidates accepted by the network oracle: each candidate is pinned
+    into an embedding network (checker internals left free) and kept iff the
+    network is solvable at k.  ``sizes`` instantiates unsized ports.  The
+    embedding and the search setup are built once per candidate shape, and
+    each candidate is one run of the search (see ``_pinned_search``)."""
+    entries = _normalize_family(gadget, family)
+    outcomes = _verdicts(entries, lambda first: _pinned_search(gadget, first, k, sizes or {}))
+    return [entry for entry, outcome in zip(entries, outcomes) if outcome.solvable]
 
 
 def entropy_accepted_set(gadget: Gadget, family: Sequence, k: int,
@@ -923,28 +922,16 @@ def entropy_accepted_set(gadget: Gadget, family: Sequence, k: int,
     """Candidates accepted by the declared information conditions, on the
     exact joint support of messages and candidate outputs (a conditional
     gadget's conditions already name its condition ports).  The support is
-    laid out once per candidate shape, as in ``_pinned_outcomes`` (see
-    ``_SupportLayout``); each candidate adds one column per pinned port.  The
-    conditions that name no existential are decided on the columns; the rest
-    by a search over the existentials' table entries (see ``_entry_tables``).
-    A candidate that does not fit its port raises ``ComposeError`` with the
-    entry's position as ``index``, as in ``accepted_set``."""
+    laid out once per candidate shape, as the network oracle's setup is
+    built (see ``_SupportLayout``); each candidate adds one column per pinned
+    port.  The conditions that name no existential are decided on the
+    columns; the rest by a search over the existentials' table entries (see
+    ``_entry_tables``), on each part of a split of the rows by condition
+    value.  A candidate that does not fit its port raises ``ComposeError``
+    with the entry's position as ``index``, as in ``accepted_set``."""
     entries = _normalize_family(gadget, family)
-    layouts: dict = {}  # shape -> _SupportLayout
-    accepted = []
-    for index, entry in enumerate(entries):
-        shape = _shape(entry)
-        layout = layouts.get(shape)
-        try:
-            if layout is None:
-                layout = layouts[shape] = _SupportLayout(gadget, entry, k, sizes or {})
-            columns = layout.columns_of(entry)
-        except ComposeError as exc:
-            exc.index = index
-            raise
-        if layout.holds(columns):
-            accepted.append(entry)
-    return accepted
+    verdicts = _verdicts(entries, lambda first: _SupportLayout(gadget, first, k, sizes or {}).holds)
+    return list(itertools.compress(entries, verdicts))
 
 
 class _SupportLayout:
@@ -956,7 +943,11 @@ class _SupportLayout:
     table keys and a row -> table index map, so a candidate's column is one
     lookup per row.
     Conditions are column lists: ``ready`` ones read only variables and
-    ports, ``pending`` ones also existentials (see ``_entry_tables``)."""
+    ports, ``pending`` ones also existentials (see ``_entry_tables``).
+    ``groups`` splits the rows by their values on the variables that every
+    pending condition is given and every existential reads (a conditional
+    gadget's condition ports): rows of two groups share no entry and meet in
+    no check, so each group is searched on its own (Freuder 1982)."""
 
     def __init__(self, gadget: Gadget, entry: Mapping[str, CandidateFunction], k: int,
                  sizes: Mapping):
@@ -1000,22 +991,28 @@ class _SupportLayout:
             else:
                 self.pending.append(([col[v] for v in t if v in col], [ex[v] for v in t if v not in col],
                                      [col[v] for v in g if v in col], [ex[v] for v in g if v not in col]))
+        split = set(range(len(variables))).intersection(*(g for _, _, g, _ in self.pending),
+                                                        *(ins for ins, _ in self.existentials))
+        groups: dict = {}  # split values -> rows
+        for r, row in enumerate(rows):
+            groups.setdefault(tuple([row[c] for c in split]), []).append(r)
+        self.groups = list(groups.values())
 
-    def columns_of(self, entry: Mapping[str, CandidateFunction]) -> list:
-        """The support columns with ``entry``'s candidates, each checked by
-        ``_candidate_values``."""
+    def holds(self, entry: Mapping[str, CandidateFunction]) -> bool:
+        """Whether ``entry``'s candidates, each checked by
+        ``_candidate_values``, satisfy every condition."""
         columns = list(self.base)
         for port_name, where, size, keys, index in self.ports:
             values = _candidate_values(where, entry[port_name], size, keys)
             columns.append(list(map(values.__getitem__, index)))
-        return columns
-
-    def holds(self, columns: list) -> bool:
-        for t, g in self.ready:
-            if not entropy.check(columns, t, g):
-                return False
-        tables = _entry_tables(self.n_rows, columns, self.existentials, self.pending)
-        return not self.pending or next(tables, None) is not None
+        if not all(entropy.check(columns, t, g) for t, g in self.ready):
+            return False
+        if not self.pending:
+            return True
+        parts = ([(self.n_rows, columns)] if len(self.groups) == 1 else
+                 [(len(rows), [[c[r] for r in rows] for c in columns]) for rows in self.groups])
+        return all(next(_entry_tables(n, part, self.existentials, self.pending), None) is not None
+                   for n, part in parts)
 
 
 def _entry_tables(n_rows: int, columns: Sequence, existentials: Sequence,
@@ -1028,19 +1025,17 @@ def _entry_tables(n_rows: int, columns: Sequence, existentials: Sequence,
     ``existentials`` gives each one's (input columns, size); a condition
     names at least one existential and is (target columns, target
     existentials, given columns, given existentials).  An entry is one
-    existential's value at one projection of the rows onto its inputs.  A
-    collision group is the rows of one condition with the same given column
-    values: only the entries they read can tell them apart.  One depth-first
-    search sets the entries one at a time, next always the entry that shares
-    the most collision groups with the entries set before it (on a tie, the
-    one the rows reach first, existential by existential).  Each
-    existential's values grow restrictedly in the order its entries are set
-    (a value at most one above its earlier values; Knuth, TAOCP 4A,
-    7.2.1.5).  Each condition is checked on a row as soon as the last entry
-    the row reads is set (Haralick and Elliott 1980): the row's given values
-    are stored as a key with its target values, and a key stored with other
-    target values is a conflict.  A trail undoes the stored keys on
-    backtrack."""
+    existential's value at one projection of the rows onto its inputs.  One
+    depth-first search sets the entries one at a time: each existential's in
+    turn, in the order the rows reach them, its values growing restrictedly
+    in that order (a value at most one above its earlier values; Knuth,
+    TAOCP 4A, 7.2.1.5).  Each condition is checked on
+    a row as soon as the last entry the row reads is set (Haralick and
+    Elliott 1980): the row's given values are stored as a key with its
+    target values, and a key stored with other target values is a conflict.
+    A trail undoes the stored keys on backtrack.  ``_SupportLayout.holds``
+    runs it on each part of its split of the rows, so that a failure in one
+    part never re-tries the entries of another."""
     def cells(cols: list) -> list:  # per row, its values in cols
         return list(zip(*cols)) if cols else [()] * n_rows
 
@@ -1049,57 +1044,37 @@ def _entry_tables(n_rows: int, columns: Sequence, existentials: Sequence,
           for e, (ins, _) in enumerate(existentials)]  # existential, row -> entry
     owner = [e for e, _ in entries]
     n = len(owner)
-    # each condition's distinct rows, as (given values, given entries, target
-    # values, target entries), and each entry's collision groups
-    distinct, groups = [], [set() for _ in owner]
-    for i, (t_cols, t_ex, g_cols, g_ex) in enumerate(conditions):
-        rows = set(zip(cells([columns[c] for c in g_cols]), cells([at[e] for e in g_ex]),
-                       cells([columns[c] for c in t_cols]), cells([at[e] for e in t_ex])))
-        distinct.append(rows)
-        for g_fix, g_ent, _, t_ent in rows:
-            for x in g_ent + t_ent:
-                groups[x].add((i, g_fix))
-    order, left, touched = [], list(range(n)), set()
-    while left:
-        x = max(left, key=lambda y: len(groups[y] & touched))  # the first of the most shared
-        left.remove(x)
-        order.append(x)
-        touched |= groups[x]
-    depth = [0] * n  # entry -> its position in order
-    prev, latest = [], {}  # depth -> depth of the existential's previous entry, or -1
-    for d, x in enumerate(order):
-        depth[x] = d
-        prev.append(latest.get(owner[x], -1))
-        latest[owner[x]] = d
-    checks: list = [[] for _ in order]  # depth -> rows checked once its entry is set
-    for rows in distinct:
+    prev = [x - 1 if x and owner[x - 1] == e else -1 for x, e in enumerate(owner)]  # its existential's previous entry
+    checks: list = [[] for _ in owner]  # entry -> rows checked once it is set
+    for t_cols, t_ex, g_cols, g_ex in conditions:
         seen: dict = {}  # given values -> target values, on the rows checked so far
-        for row in rows:
-            checks[max(depth[x] for x in row[1] + row[3])].append((seen,) + row)
+        # each distinct row as (given values, given entries, target values, target entries)
+        for row in set(zip(cells([columns[c] for c in g_cols]), cells([at[e] for e in g_ex]),
+                           cells([columns[c] for c in t_cols]), cells([at[e] for e in t_ex]))):
+            checks[max(row[1] + row[3])].append((seen,) + row)
     vals = [-1] * n  # entry -> value
-    used = [0] * n  # depth -> its existential's distinct values up to there
+    used = [0] * n  # entry -> its existential's distinct values up to there
     trail, marks = [], []  # stored (seen, key); trail length when each value was set
-    d = 0
-    while d >= 0:
-        if d == n:
+    x = 0
+    while x >= 0:
+        if x == n:
             yield dict(zip(entries, vals))
-            d -= 1
+            x -= 1
             continue
-        x = order[d]
         if vals[x] >= 0:  # undo the value tried last
             mark = marks.pop()
             for seen, key in trail[mark:]:
                 del seen[key]
             del trail[mark:]
         v = vals[x] = vals[x] + 1
-        before = used[prev[d]] if prev[d] >= 0 else 0
+        before = used[prev[x]] if prev[x] >= 0 else 0
         if v > before or v >= existentials[owner[x]][1]:
             vals[x] = -1
-            d -= 1
+            x -= 1
             continue
-        used[d] = max(before, v + 1)
+        used[x] = max(before, v + 1)
         marks.append(len(trail))
-        for seen, g_fix, g_ent, t_fix, t_ent in checks[d]:
+        for seen, g_fix, g_ent, t_fix, t_ent in checks[x]:
             key = g_fix + tuple([vals[i] for i in g_ent])
             val = t_fix + tuple([vals[i] for i in t_ent])
             old = seen.get(key)
@@ -1109,7 +1084,7 @@ def _entry_tables(n_rows: int, columns: Sequence, existentials: Sequence,
             elif old != val:
                 break
         else:
-            d += 1
+            x += 1
 
 
 # ---------------------------------------------------------------------------

@@ -136,11 +136,22 @@ def input_files(butterfly_file, tmp_path):
         "theta_bool": "[[true, 0]]",
         "theta_not_json": "[[1, 0]",
         "theta_flat": "[1, 0]",
+        "theta_empty": "[]",
+        "theta_two": "[[2, 0]]",
         "family_no_inputs": json.dumps([{k: v for k, v in candidate.items() if k != "inputs"}]),
         "family_wrong_size": json.dumps([dict(candidate, size=3)]),
         "family_str_values": json.dumps([dict(candidate, values=["0"] * len(candidate["values"]))]),
         "family_input_size_float": json.dumps([dict(candidate, inputs=[{"name": "Q", "size": 2.5},
                                                                        *candidate["inputs"][1:]])]),
+        "family_input_name_list": json.dumps([dict(candidate, inputs=[{"name": ["M1"], "size": 2},
+                                                                      *candidate["inputs"][1:]])]),
+        # each of these read as a well-formed candidate before: a key of
+        # floats or bools equal to the ints, a float size, an extra value
+        "family_key_float": json.dumps([dict(candidate, keys=[[0.0, 0], *candidate["keys"][1:]])]),
+        "family_key_bool": json.dumps([dict(candidate, keys=[*candidate["keys"][:2], [True, 0],
+                                                             *candidate["keys"][3:]])]),
+        "family_size_float": json.dumps([dict(candidate, size=2.0)]),
+        "family_values_longer": json.dumps([dict(candidate, values=candidate["values"] + [0])]),
     }
     paths = {"net": butterfly_file}
     for name, text in docs.items():
@@ -166,6 +177,8 @@ def input_files(butterfly_file, tmp_path):
     ["gadget-build", "set", "--n", "2", "--theta", "{theta_bool}"],
     ["gadget-build", "set", "--n", "2", "--theta", "{theta_not_json}"],
     ["gadget-build", "set", "--n", "2", "--theta", "{theta_flat}"],
+    ["gadget-build", "set", "--n", "2", "--theta", "{theta_empty}"],
+    ["gadget-build", "set", "--n", "2", "--theta", "{theta_two}"],
     ["verify-checker", "xor", "--k", "2", "--family", "{family_no_inputs}"],
     ["verify-checker", "xor", "--k", "2", "--family", "{family_wrong_size}"],
     ["verify-checker", "xor", "--k", "2", "--family", "{family_str_values}"],
@@ -179,6 +192,11 @@ def input_files(butterfly_file, tmp_path):
     ["index", "{instance_a_float}", "--k", "2"],
     ["index", "{instance_b_float}", "--k", "2"],
     ["verify-checker", "xor", "--k", "1", "--family", "{family_input_size_float}"],
+    ["verify-checker", "xor", "--k", "1", "--family", "{family_input_name_list}"],
+    ["verify-checker", "xor", "--k", "1", "--family", "{family_key_float}"],
+    ["verify-checker", "xor", "--k", "1", "--family", "{family_key_bool}"],
+    ["verify-checker", "xor", "--k", "1", "--family", "{family_size_float}"],
+    ["verify-checker", "xor", "--k", "1", "--family", "{family_values_longer}"],
     ["solve", "{net_nodes_int}", "--k", "1"],
     ["solve", "{net_messages_int}", "--k", "1"],
     ["solve", "{net_edge_id_obj}", "--k", "1"],
@@ -225,14 +243,19 @@ def test_parser_reuse_matches_fresh_runs(capsys):
     assert reused == fresh
 
 
-@pytest.mark.parametrize("exc", [KeyError("k"), ValueError("v"), AssertionError("a")],
-                         ids=lambda exc: type(exc).__name__)
-def test_internal_errors_exit_4(capsys, monkeypatch, butterfly_file, exc):
+@pytest.mark.parametrize("module, name, argv, exc", [
+    (cli, "solve_at_k", ["solve", "{net}", "--k", "2"], KeyError("k")),
+    (cli, "solve_at_k", ["solve", "{net}", "--k", "2"], ValueError("v")),
+    (cli, "solve_at_k", ["solve", "{net}", "--k", "2"], AssertionError("a")),
+    # a fault in a gadget builder is not a parameter the user got wrong
+    (gadgets, "xor_checker", ["verify-checker", "xor", "--k", "1"], ValueError("v")),
+], ids=["KeyError", "ValueError", "AssertionError", "gadget-builder-ValueError"])
+def test_internal_errors_exit_4(capsys, monkeypatch, butterfly_file, module, name, argv, exc):
     def fail(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(cli, "solve_at_k", fail)
-    argv = ["solve", butterfly_file, "--k", "2"]
+    monkeypatch.setattr(module, name, fail)
+    argv = [a.format(net=butterfly_file) for a in argv]
     with pytest.raises(type(exc)):
         run(argv)
     assert main(argv) == 4

@@ -130,24 +130,38 @@ def test_restricted_growth_is_one_table_per_relabelling_class(n, size):
 @st.composite
 def existential_specs(draw, budget=512):
     """1-3 base variables of size 2-3, 1-2 existentials of size 1-3 over
-    random subsets of them, and 1-4 random Determined conditions.  Each
-    existential's inputs are dropped from the end until the existentials so
-    far have at most ``budget`` tables together, or it has none, to keep the
-    brute force small."""
+    random subsets of them, 1-4 random Determined conditions, and a
+    condition alphabet w: None, or 1-3 for the ``conditionalize``d spec
+    (see ``conditioned``).  Each existential's inputs are dropped from the
+    end until the existentials so far have at most ``budget`` tables
+    together (64 conditioned, counting W among the inputs), or it has none,
+    to keep the brute force small."""
     base = {f"A{i}": draw(st.integers(2, 3)) for i in range(draw(st.integers(1, 3)))}
+    w = draw(st.sampled_from([None, 1, 2, 3]))
+    budget = 64 if w else budget
     exs, tables = [], 1
     for i in range(draw(st.integers(1, 2))):
         inputs = draw(st.lists(st.sampled_from(list(base)), unique=True))
         size = draw(st.integers(1, 3))
-        while inputs and tables * size ** math.prod(base[v] for v in inputs) > budget:
+        while inputs and tables * size ** (math.prod(base[v] for v in inputs) * (w or 1)) > budget:
             inputs.pop()
-        tables *= size ** math.prod(base[v] for v in inputs)
+        tables *= size ** (math.prod(base[v] for v in inputs) * (w or 1))
         exs.append((f"E{i}", inputs, size))
     names = list(base) + [name for name, _, _ in exs]
     conds = [(draw(st.lists(st.sampled_from(names), min_size=1, unique=True)),
               draw(st.lists(st.sampled_from(names), unique=True)))
              for _ in range(draw(st.integers(1, 4)))]
-    return base, exs, conds
+    return base, exs, conds, w
+
+
+def conditioned(base, exs, conds, w):
+    """The spec ``conditionalize`` makes of it, with the condition port W a
+    base variable that every existential reads and every condition is
+    given."""
+    if w is None:
+        return base, exs, conds
+    return ({**base, "W": w}, [(name, inputs + ["W"], size) for name, inputs, size in exs],
+            [(targets, given + ["W"]) for targets, given in conds])
 
 
 def canonical(t):
@@ -185,10 +199,12 @@ def brute_force_tables(base, exs, conds) -> set:
 
 @given(existential_specs())
 # a row read before its last entry is set; a stored key kept after backtrack
-@example(({"A0": 2}, [("E0", [], 1), ("E1", ["A0"], 2)], [(["A0", "E0"], ["E1"])]))
-@example(({"A0": 2}, [("E1", ["A0"], 2)], [(["E1"], ["A0"])]))
+@example(({"A0": 2}, [("E0", [], 1), ("E1", ["A0"], 2)], [(["A0", "E0"], ["E1"])], None))
+@example(({"A0": 2}, [("E1", ["A0"], 2)], [(["E1"], ["A0"])], None))
 def test_entry_search_agrees_with_brute_force(spec):
-    base, exs, conds = spec
+    # a conditioned spec is split by W, so the oracle searches each slice on
+    # its own; the brute force and the search alone below see all its rows
+    base, exs, conds, w = spec
     b = G._Builder("random_spec")
     for name, size in base.items():
         b.message_in(name, size)
@@ -196,7 +212,8 @@ def test_entry_search_agrees_with_brute_force(spec):
         b.internal(name, inputs, size)
     for i, (targets, given) in enumerate(conds):
         b.demand(f"d{i}", targets, given)
-    gadget = b.build()
+    gadget = b.build() if w is None else G.conditionalize(b.build(), w)
+    base, exs, conds = conditioned(*spec)
     assert bool(G.entropy_accepted_set(gadget, [{}], 1)) == bool(brute_force_tables(base, exs, conds))
     # the search alone, on the conditions that name an existential: the
     # tables it finds are one per relabelling class of the solutions
@@ -213,13 +230,35 @@ def test_entry_search_agrees_with_brute_force(spec):
     (G.cond_virtual_equality_checker(2, 2), 4),
 ], ids=["cond-virtual-or-2x2", "cond-virtual-eq-2x2"])
 def test_entry_order_agrees_with_network_oracle(gadget, accepted):
-    # the entry search sets next the entry sharing the most collision groups,
-    # which interleaves the W1 slices' entries; on the whole conditional
-    # virtual families it accepts what the network oracle accepts
+    # the entry search runs on each W1 slice on its own; on the whole
+    # conditional virtual families it accepts what the network oracle accepts
     family = F.theta_grid_family(2, 2)
     net = G.accepted_set(gadget, family, 1)
     assert entry_keys(G.entropy_accepted_set(gadget, family, 1)) == entry_keys(net)
     assert len(net) == accepted
+
+
+def test_split_keeps_an_existential_that_ignores_the_split_whole():
+    # both conditions are given A0 but E reads A1 alone, so the rows with
+    # A0 = 0 and A0 = 1 share E's entries: on A0 = 0 the first condition needs
+    # E injective, and on A0 = 1 the second needs E constant unless Z = A1
+    # there.  A split by A0 would search E once per part and accept both
+    b = G._Builder("split_trap")
+    b.message_in("A0", 2)
+    b.message_in("A1", 2)
+    y, z = b.signal_in("Y", 2), b.signal_in("Z", 2)
+    e = b.internal("E", ["A1"], 2)
+    b.demand("d1", ["A1"], ["A0", y, e])
+    b.demand("d2", ["E"], ["A0", z])
+    keys = list(itertools.product((0, 1), repeat=2))
+
+    def entry(z_at_a0_1):
+        return {"Y": G.CandidateFunction("Y", ("A0", "A1"), {(a0, a1): a1 if a0 else 0 for a0, a1 in keys}, 2),
+                "Z": G.CandidateFunction("Z", ("A0", "A1"),
+                                         {(a0, a1): z_at_a0_1(a1) if a0 else a1 for a0, a1 in keys}, 2)}
+
+    trap, ok = entry(lambda a1: 0), entry(lambda a1: a1)
+    assert entry_keys(G.entropy_accepted_set(b.build(), [trap, ok], 1)) == entry_keys([ok])
 
 
 def test_xor_checker_accepts_parity_only():
@@ -574,7 +613,7 @@ def test_shared_setup_matches_fresh_solves(gadget, family, k):
     # one embedding and search setup per candidate shape gives, candidate by
     # candidate, the verdict and the trial count of a fresh composition
     entries = G._normalize_family(gadget, family)
-    shared = list(G._pinned_outcomes(gadget, entries, k, {}))
+    shared = list(G._verdicts(entries, lambda first: G._pinned_search(gadget, first, k, {})))
     assert len(shared) == len(entries)
     statuses = set()
     for entry, got in zip(entries, shared):
