@@ -2,8 +2,9 @@
 
 Exit codes: 0 = decided positive as queried, 1 = decided negative,
 2 = budget or cap exhausted (explicitly not a negative answer), 3 = input
-error, 4 = internal error (traceback on stderr).  Every command except
-export-dot emits a JSON object on stdout.
+error, 4 = internal error (traceback on stderr), 141 = stdout closed before
+the output was written (as a shell reports SIGPIPE; no traceback).  Every
+command except export-dot emits a JSON object on stdout.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 import traceback
 from typing import Optional
@@ -30,6 +32,7 @@ from .model import (
 from .solver import BudgetExhausted, CapExceeded, SolveOptions, Status, solve_at_k, solve_up_to
 
 OK, NEGATIVE, EXHAUSTED, BAD_INPUT, INTERNAL = 0, 1, 2, 3, 4
+BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 class _UsageError(Exception):
@@ -390,9 +393,17 @@ def run(argv=None) -> int:
 
 def main(argv=None) -> int:
     """The console entry point: ``run``, with an internal error reported as
-    exit 4 and its traceback on stderr."""
+    exit 4 and its traceback on stderr, and a reader that closed stdout
+    early (``| head``) as exit 141."""
     try:
-        return run(argv)
+        code = run(argv)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # what is left in the buffer goes nowhere, so the flush at exit
+        # raises no second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     except Exception:
         traceback.print_exc()
         print("internal error", file=sys.stderr)

@@ -262,6 +262,27 @@ def test_internal_errors_exit_4(capsys, monkeypatch, butterfly_file, module, nam
     assert "Traceback" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("instance, k, first", [
+    # the k=16 witness is far larger than a pipe's buffer, so the writer is
+    # still writing when its reader closes the pipe after one byte
+    ("cyclic3.json", "16", b"{"),
+    # a short answer is still in the buffer when the reader has gone
+    ("five_cycle.json", "2", b""),
+], ids=["mid-write", "before-flush"])
+def test_closed_stdout_exits_141_without_traceback(instance, k, first):
+    data = pathlib.Path(__file__).parent / "data" / instance
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as in a plain shell
+    proc = subprocess.Popen([sys.executable, "-m", "pfsnet", "index", str(data), "--k", k],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(len(first)) == first
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert err == b""
+
+
 @pytest.mark.parametrize("argv, build", [
     (["xor-gate"], gadgets.xor_gate),
     (["switch", "--w", "2"], lambda: gadgets.conditionalize(gadgets.switch_gate(), 2)),

@@ -171,6 +171,10 @@ def test_solvable_examples():
     squeezed = I.IndexInstance((DEFAULT,), 1, 0, (I.Client(frozenset(), frozenset({1})),))
     assert I.solvable_at_k(squeezed, 2) == (False, None)
     assert I.solvable_at_k(squeezed, 1)[0]
+    # an output bound far above the tuple count takes no memory in
+    # proportion to it
+    roomy = I.IndexInstance((DEFAULT,), 1, 40, (I.Client(frozenset(), frozenset({1})),))
+    assert I.solvable_at_k(roomy, 2)[0]
 
 
 def test_client_normalization():
@@ -206,25 +210,32 @@ def test_micro_oracle():
             assert got == I.brute_force_solvable(inst, k), (inst, k)
 
 
-def reference_chromatic_leq(vertices, adjacency, m) -> Optional[dict]:
+def reference_chromatic_leq(vertices, adjacency, m, budget=None) -> Optional[dict]:
+    return reference_search(vertices, adjacency, m, budget)[0]
+
+
+def reference_search(vertices, adjacency, m, budget=None) -> tuple:
     # the frozenset implementation that the bitset one replaced: adjacency
     # holds one frozenset of neighbour indices per vertex, and the colors
-    # taken around a vertex are collected into a set at each step
+    # taken around a vertex are collected into a set at each step; one
+    # color assigned to one vertex is a trial, a trial past the budget
+    # raises, and the result is (coloring or None, trials)
     n = len(vertices)
     if n == 0:
-        return {}
+        return {}, 0
     order = sorted(range(n), key=lambda i: (-len(adjacency[i]), i))
     clique = []
     for i in order:
         if all(j in adjacency[i] for j in clique):
             clique.append(i)
     if len(clique) > m:
-        return None
+        return None, 0
     color = [-1] * n
     for c, i in enumerate(clique):
         color[i] = c
     rest = [i for i in order if i not in set(clique)]
     used = [len(clique)] + [0] * len(rest)
+    trials = 0
     idx = 0
     while 0 <= idx < len(rest):
         i = rest[idx]
@@ -234,6 +245,9 @@ def reference_chromatic_leq(vertices, adjacency, m) -> Optional[dict]:
         while c < top and c in taken:
             c += 1
         if c < top:
+            if budget is not None and trials >= budget:
+                raise BudgetExhausted()
+            trials += 1
             color[i] = c
             used[idx + 1] = max(used[idx], c + 1)
             idx += 1
@@ -241,8 +255,8 @@ def reference_chromatic_leq(vertices, adjacency, m) -> Optional[dict]:
             color[i] = -1
             idx -= 1
     if idx < 0:
-        return None
-    return {v: color[i] for i, v in enumerate(vertices)}
+        return None, trials
+    return {v: color[i] for i, v in enumerate(vertices)}, trials
 
 
 def assert_same_coloring(graph, m):
@@ -284,6 +298,105 @@ def test_index_budget():
     cyclic = cyclic_instance()
     assert I.solvable_at_k(cyclic, 4, budget=10**6) == I.solvable_at_k(cyclic, 4)
     assert main(["index", str(DATA / "five_cycle.json"), "--k", "3", "--budget", "10000"]) == 2
+
+
+def outcome(search, *args):
+    """What a search returns, or the BudgetExhausted class if it raises it."""
+    try:
+        return search(*args)
+    except BudgetExhausted:
+        return BudgetExhausted
+
+
+def budget_graphs(rng):
+    """Small graphs: random ones (almost never regular), circulants and
+    confusion graphs (always regular).  On the larger, sparser random ones
+    the clique bound is loose, so backtracking reaches colors that the first
+    descent introduced after the clique's."""
+    for draw in range(80):
+        if draw < 40:
+            n, p = rng.randint(4, 13), rng.uniform(0.2, 0.8)
+        else:
+            n, p = rng.randint(16, 24), rng.uniform(0.15, 0.5)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        yield I.ConfusionGraph(tuple(range(n)), bitsets(
+            {b for a, b in edges if a == i} | {a for a, b in edges if b == i} for i in range(n)))
+    for _ in range(30):
+        # vertex i is adjacent to i + s and i - s modulo n for each s in steps
+        n = rng.randint(4, 14)
+        steps = [s for s in range(1, n // 2 + 1) if rng.random() < 0.5]
+        yield I.ConfusionGraph(tuple(range(n)), bitsets(
+            {(i + s) % n for s in steps} | {(i - s) % n for s in steps} for i in range(n)))
+    for _ in range(30):
+        yield I.confusion_graph(random_index_instance(rng), rng.randint(1, 2))
+    yield I.confusion_graph(cyclic_instance(), 2)
+
+
+def test_budget_and_resume_match_reference():
+    # for every budget up to one past the reference's trials, chromatic_leq
+    # raises exactly when the reference does and otherwise returns its
+    # coloring; at small m the first descent leaves a vertex without a
+    # color, so the search resumes there and backtracks
+    resumed = {True: 0, False: 0}
+    for g in budget_graphs(random.Random(1994)):
+        sets = tuple(frozenset(neighbours(a)) for a in g.adjacency)
+        regular = len({len(s) for s in sets}) == 1
+        # with n colors the first descent colors every vertex outside the
+        # pre-colored clique, one trial each
+        descent = reference_search(g.vertices, sets, g.n)[1]
+        for m in range(g.n + 1):
+            coloring, trials = reference_search(g.vertices, sets, m)
+            if trials:
+                assert outcome(reference_chromatic_leq, g.vertices, sets, m, trials - 1) is BudgetExhausted
+            assert reference_chromatic_leq(g.vertices, sets, m, trials) == coloring
+            for budget in range(trials + 2):
+                expected = BudgetExhausted if budget < trials else coloring
+                assert outcome(I.chromatic_leq, g, m, budget) == expected, (g, m, budget)
+            if trials > descent or coloring is None and m >= g.n - descent:
+                resumed[regular] += 1
+    assert min(resumed.values()) >= 10, resumed
+
+
+def shift_permutation(inst, k, shift):
+    """Tuple index -> index of the tuple shifted by ``shift``, modulo each
+    message's size."""
+    sizes = [resolve_size(m, k) for m in inst.messages]
+    tuples = list(itertools.product(*(range(s) for s in sizes)))
+    index = {v: i for i, v in enumerate(tuples)}
+    return [index[tuple((x + d) % s for x, d, s in zip(v, shift, sizes))] for v in tuples]
+
+
+def maps_onto_itself(graph, perm):
+    return all(sum(1 << perm[j] for j in neighbours(a)) == graph.adjacency[perm[i]]
+               for i, a in enumerate(graph.adjacency))
+
+
+def is_regular(graph):
+    return len({a.bit_count() for a in graph.adjacency}) <= 1
+
+
+@given(st.integers(0, 10**6), st.integers(1, 3))
+def test_confusion_graph_shift_invariant_and_regular(seed, k):
+    # whether two tuples confuse a client depends only on their difference,
+    # so a shift of every tuple is an automorphism and all degrees are equal
+    rng = random.Random(seed)
+    inst = random_index_instance(rng)
+    shift = [rng.randrange(resolve_size(m, k)) for m in inst.messages]
+    g = I.confusion_graph(inst, k)
+    assert maps_onto_itself(g, shift_permutation(inst, k, shift))
+    assert is_regular(g)
+
+
+def test_shift_checks_catch_a_removed_edge():
+    inst = cyclic_instance()
+    g = I.confusion_graph(inst, 2)
+    a = g.adjacency
+    i, j = 0, neighbours(a[0])[0]
+    broken = I.ConfusionGraph(g.vertices, tuple(
+        x & ~(1 << j) if v == i else x & ~(1 << i) if v == j else x for v, x in enumerate(a)))
+    assert broken.edge_count() == g.edge_count() - 1
+    assert not is_regular(broken)
+    assert not maps_onto_itself(broken, shift_permutation(inst, 2, (1, 0, 0)))
 
 
 def test_confusion_graph_memory_at_cap():
