@@ -29,7 +29,7 @@ from .model import (
     to_dot,
     validate,
 )
-from .solver import BudgetExhausted, CapExceeded, SolveOptions, Status, solve_at_k, solve_up_to
+from .solver import BudgetExhausted, CapExceeded, SolveOptions, Status, solve_at_k, solve_up_to, unsolvable_from
 
 OK, NEGATIVE, EXHAUSTED, BAD_INPUT, INTERNAL = 0, 1, 2, 3, 4
 BROKEN_PIPE = 141  # 128 + SIGPIPE
@@ -172,6 +172,7 @@ def _cmd_solve(args) -> int:
         "status": outcome.status.value,
         "witness": scheme_to_json_dict(outcome.scheme) if outcome.scheme else None,
         "searched": outcome.searched,
+        "cut": outcome.cut._asdict() if outcome.cut else None,
     }
     _emit(doc)
     return {Status.SOLVABLE: OK, Status.UNSOLVABLE_AT_K: NEGATIVE, Status.BUDGET_EXHAUSTED: EXHAUSTED}[outcome.status]
@@ -186,14 +187,13 @@ def _cmd_sweep(args) -> int:
     try:
         found = solve_up_to(net, args.k_max, _solve_options(args))
     except BudgetExhausted as exc:
-        _emit({"command": "sweep", "k_max": args.k_max, "status": "budget-exhausted", "k": exc.k, "note": note})
-        return EXHAUSTED
-    if found is None:
-        _emit({"command": "sweep", "k_max": args.k_max, "found": None, "note": note})
-        return NEGATIVE
-    k, scheme = found
-    _emit({"command": "sweep", "k_max": args.k_max, "found": {"k": k, "witness": scheme_to_json_dict(scheme)}, "note": note})
-    return OK
+        doc, code = {"status": "budget-exhausted", "k": exc.k}, EXHAUSTED
+    else:
+        code = OK if found else NEGATIVE
+        doc = {"found": {"k": found[0], "witness": scheme_to_json_dict(found[1])} if found else None}
+    # solve_up_to has validated the network
+    _emit({"command": "sweep", "k_max": args.k_max, **doc, "unsolvable_from": unsolvable_from(net), "note": note})
+    return code
 
 
 def _load_theta(args):

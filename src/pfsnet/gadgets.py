@@ -758,18 +758,20 @@ class _Composer:
         # the non-broadcast nodes that do not distribute a signal input
         targets = [v for v, bc in g.nodes if not bc and v not in g.sig_in.values()]
         for wp in cond_ports:
+            indices, outputs = set(), []
+            for i, comp in enumerate(inject[wp]):
+                if isinstance(comp, str):
+                    indices.add(self.index(comp))
+                elif isinstance(comp, Out):
+                    outputs.append((i, *self._output(f"{part}.{wp}", comp)))
+                else:
+                    raise ComposeError(f"{part}.{wp}: condition components must be messages or outputs")
             for v in targets:
                 node = prefix + v
-                for i, comp in enumerate(inject[wp]):
-                    if isinstance(comp, str):
-                        self.sources.setdefault(node, set()).add(self.index(comp))
-                    elif isinstance(comp, Out):
-                        src_dist, spec = self._output(f"{part}.{wp}", comp)
-                        self.edges.append(
-                            Edge(f"{part}/{wp}{i}>{v}", src_dist, node, spec)
-                        )
-                    else:
-                        raise ComposeError(f"{part}.{wp}: condition components must be messages or outputs")
+                if indices:
+                    self.sources.setdefault(node, set()).update(indices)
+                for i, src_dist, spec in outputs:
+                    self.edges.append(Edge(f"{part}/{wp}{i}>{v}", src_dist, node, spec))
 
     def _output(self, where: str, ref: Out) -> tuple:
         try:

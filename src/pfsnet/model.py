@@ -10,10 +10,12 @@ encoding tables of their own.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
+import operator
 from json.encoder import encode_basestring_ascii as _quote
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 
 class FormatError(ValueError):
@@ -77,8 +79,9 @@ def size_from_json(raw: object, where: str) -> SizeSpec:
 # networks
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
+    """A directed edge; a named tuple, as networks build and read many."""
+
     id: str
     tail: str
     head: str
@@ -88,7 +91,7 @@ class Edge:
 def _freeze_index_map(raw: Mapping[str, Iterable[int]]) -> dict:
     out = {}
     for node, idxs in raw.items():
-        s = frozenset(int(i) for i in idxs)
+        s = frozenset(map(int, idxs))
         if s:
             out[node] = s
     return out
@@ -121,14 +124,13 @@ class Network:
         object.__setattr__(self, "broadcast", frozenset(self.broadcast))
         inn: dict = {v: [] for v in self.nodes}
         out: dict = {v: [] for v in self.nodes}
-        for e in self.edges:
+        # one stable sort by id leaves every node's lists sorted by id, edges
+        # with one id in their given order
+        for e in sorted(self.edges, key=operator.attrgetter("id")):
             if e.head in inn:
                 inn[e.head].append(e)
             if e.tail in out:
                 out[e.tail].append(e)
-        for v in self.nodes:
-            inn[v].sort(key=lambda e: e.id)
-            out[v].sort(key=lambda e: e.id)
         object.__setattr__(self, "_in", inn)
         object.__setattr__(self, "_out", out)
         object.__setattr__(self, "_layouts", {})
@@ -181,13 +183,13 @@ def validate(net: Network) -> ValidationReport:
         if e.tail == e.head:
             bad.append(("cycle", e.id))
     l = net.n_messages
+    labels = set(range(1, l + 1))
     for label, mapping in (("sources", net.sources), ("demands", net.demands)):
         for v, idxs in mapping.items():
             if v not in nodeset:
                 bad.append((f"{label}-node", v))
-            for i in idxs:
-                if not 1 <= i <= l:
-                    bad.append(("message-index", f"{label}[{v}]={i}"))
+            if not idxs <= labels:
+                bad.extend(("message-index", f"{label}[{v}]={i}") for i in idxs if not 1 <= i <= l)
     if not any(rule == "endpoint" or rule == "cycle" for rule, _ in bad):
         order, indeg = _kahn(net)
         if len(order) != len(net.nodes):
@@ -199,9 +201,9 @@ def validate(net: Network) -> ValidationReport:
         if len(net.in_edges(v)) != 1 or net.source_set(v) or net.demand_set(v):
             bad.append(("broadcast-shape", v))
         else:
-            ein = net.in_edges(v)[0].size
+            ein = net.in_edges(v)[0].size.value
             for e in net.out_edges(v):
-                if not ein.is_default and not e.size.is_default and e.size.value < ein.value:
+                if ein is not None and e.size.value is not None and e.size.value < ein:
                     bad.append(("broadcast-capacity", e.id))
     for v, want in net.demands.items():
         if v in nodeset and want and not net.in_edges(v) and not want <= net.source_set(v):
@@ -391,9 +393,11 @@ def deserialize(text: str) -> Network:
         raw = _require(doc, key)
         if not isinstance(raw, dict):
             raise FormatError(f"{key}: expected an object")
-        for v, idxs in raw.items():
-            if type(idxs) is not list or not all(type(i) is int for i in idxs):
-                raise FormatError(f"{key}[{v}]: expected a list of ints")
+        # one check over every entry; the faulty list is looked for on failure
+        if not {*map(type, raw.values())} <= {list} or not {*map(type, itertools.chain(*raw.values()))} <= {int}:
+            for v, idxs in raw.items():
+                if type(idxs) is not list or not all(type(i) is int for i in idxs):
+                    raise FormatError(f"{key}[{v}]: expected a list of ints")
         return raw
     return Network(
         nodes=tuple(nodes),

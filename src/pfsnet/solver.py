@@ -39,12 +39,31 @@ a later tuple that reaches a dropped entry again starts from its
 least-failed value.  Each value is still tried once, so the order changes
 neither the conflict sets nor completeness.
 
+Before it lays out anything, the setup tries the cut-set bound (Ahlswede,
+Cai, Li & Yeung 2000) on each demand node t, in sorted order.  Let D be the
+messages t demands but does not source, and fix every other message.  t then
+sees its own source messages, now fixed, and the values of its in-edges.  An
+in-edge carries the value of its root: the edge itself, or for a broadcast
+out-edge the root of its relay's in-edge.  So t's view is a function of the
+values on the distinct root edges into t, and two edges from one relay count
+once.  t must tell every value of D apart, so if the product of those roots'
+sizes is below the product of D's sizes, the network is unsolvable at k.
+Such a cut makes the setup infeasible: every run answers unsolvable after no
+trial, and the setup builds no rows, checks or tables.  Pins only restrict
+the tables, so the bound holds under pins too.  Both products have the form
+k^a·c, with a the count of default sizes and c the product of the fixed
+ones.  So a demand node's bound fails for every k from some k_t on (more
+default-size messages than roots), for every k up to some j_t (fewer), or
+for every k or none (as many); ``unsolvable_from`` is the least k0 from
+which some cut refutes every k.
+
 ``naive_solve_at_k`` is a deliberately independent oracle that enumerates all
 table combinations with no pruning and no symmetry breaking.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -94,14 +113,24 @@ class SolveOptions:
     node_budget: Optional[int] = None
 
 
+class Cut(NamedTuple):
+    """A cut-set refutation (see the module docstring): the demand node, and
+    the ids of the distinct root edges into it, sorted."""
+
+    node: str
+    edges: tuple
+
+
 @dataclass(frozen=True)
 class SolveOutcome:
     """``searched`` counts entry trials: one value tried at one table entry.
-    The search is deterministic, so the count is the same on every run."""
+    The search is deterministic, so the count is the same on every run.
+    ``cut`` is the cut that refuted k without a search, if one did."""
 
     status: Status
     scheme: Optional[CodingScheme] = None
     searched: int = 0
+    cut: Optional[Cut] = None
 
     @property
     def solvable(self) -> bool:
@@ -112,6 +141,65 @@ def edge_eval_order(net: Network) -> list:
     """Edges in evaluation order: topological position of tail, then edge id."""
     pos = {v: i for i, v in enumerate(topo_order(net))}
     return sorted(net.edges, key=lambda e: (pos[e.tail], e.id))
+
+
+# ---------------------------------------------------------------------------
+# the cut-set bound
+
+
+def _k_form(specs: Sequence) -> tuple:
+    """(a, c) such that the product of the sizes ``specs`` is k^a·c at every k."""
+    fixed = [s.value for s in specs if s.value is not None]
+    return len(specs) - len(fixed), math.prod(fixed)
+
+
+def _cut_bounds(net: Network) -> Iterator[tuple]:
+    """Per demand node in sorted order: its Cut, the (a, c) of the sizes of
+    the distinct root edges into it and the (b, d) of the sizes of the
+    messages it demands but does not source.  The network must be valid."""
+    for t in sorted(net.demands):
+        roots = {}
+        for f in net.in_edges(t):
+            while f.tail in net.broadcast:
+                f = net.in_edges(f.tail)[0]
+            roots[f.id] = f.size
+        need = [net.messages[i - 1] for i in net.demands[t] - net.source_set(t)]
+        yield Cut(t, tuple(sorted(roots))), _k_form(list(roots.values())), _k_form(need)
+
+
+def cut_at(net: Network, k: int) -> Optional[Cut]:
+    """The first demand node's cut that refutes the valid network at k, or
+    None."""
+    for cut, (a, c), (b, d) in _cut_bounds(net):
+        if k ** a * c < k ** b * d:
+            return cut
+    return None
+
+
+def _least_k(e: int, x: int, y: int) -> int:
+    """The least k >= 1 with k^e·x > y, for e >= 1 and x >= 1."""
+    hi = 1
+    while hi ** e * x <= y:
+        hi *= 2
+    return bisect.bisect_right(range(hi + 1), y, key=lambda k: k ** e * x)
+
+
+def unsolvable_from(net: Network) -> Optional[int]:
+    """The least k0 such that a cut refutes the valid network at every
+    k >= k0, or None if no cut refutes every large k.  A demand node's cut
+    refutes k iff k^a·c < k^b·d: exactly the k from some k_t on if b > a
+    (or b = a and d > c, then k_t = 1), exactly those up to some j_t if
+    b < a.  k0 is the least k_t, or 1 when the j_t reach it."""
+    up, down = None, 0
+    for _, (a, c), (b, d) in _cut_bounds(net):
+        if b > a or b == a and d > c:
+            k_t = _least_k(b - a, d, c) if b > a else 1
+            up = k_t if up is None else min(up, k_t)
+        elif b < a:
+            down = max(down, _least_k(a - b, c, d - 1) - 1)
+    if up is None:
+        return None
+    return 1 if down >= up - 1 else up
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +375,8 @@ class _Search:
 
     The work comes in two steps.  The setup (``__init__``) depends only on the
     network, k, which edges are pinned and symmetry breaking: it validates the
-    network and fixes the tuple order, the roots, the searched edges, their
+    network, stops at a cut that refutes k (see the module docstring), and
+    otherwise fixes the tuple order, the roots, the searched edges, their
     domain columns, their symmetry eligibility and the frontier-cut checks.
     A run (``solutions`` or ``decide``) takes the pin tables and the budget
     and starts from copies of the setup's rows and tables and from fresh
@@ -305,9 +394,23 @@ class _Search:
         if k < 1:
             raise ValueError("k must be >= 1")
         self.net, self.k = net, k
+        by_id = {e.id: e for e in net.edges}
+        for eid in pinned:
+            if eid not in by_id:
+                raise ValueError(f"pin for unknown edge {eid!r}")
+            if by_id[eid].tail in net.broadcast:
+                raise ValueError(f"cannot pin broadcast out-edge {eid!r}")
+        self.pinned = frozenset(pinned)
+        self.cut = cut_at(net, k)
+        self.infeasible = self.cut is not None
+        if self.infeasible:
+            # a run still checks its pins' lengths and ranges
+            self.size = {eid: by_id[eid].size.resolve(k) for eid in self.pinned}
+            self.dom_size = {eid: math.prod(size for _, size in table_domain(net, k, by_id[eid].tail))
+                             for eid in self.pinned}
+            return
         layout = _layout(net, k)
         n_msgs = net.n_messages
-        self.infeasible = False
         root: dict = {}
         self.tabled = []  # edges with a table of their own
         for e in layout.order:
@@ -319,18 +422,11 @@ class _Search:
             else:
                 root[e.id] = e.id
                 self.tabled.append(e)
-        for eid in pinned:
-            if eid not in root:
-                raise ValueError(f"pin for unknown edge {eid!r}")
-            if root[eid] != eid:
-                raise ValueError(f"cannot pin broadcast out-edge {eid!r}")
-        self.pinned = frozenset(pinned)
         self.size = {e.id: resolve_size(e.size, k) for e in self.tabled}
         self.dom_size = {e.id: layout.dom_size[e.tail] for e in self.tabled}
         # a demand its own sources satisfy needs nothing; the others make
         # every edge upstream of them relevant
         demands = [v for v in sorted(net.demands) if not net.demands[v] <= net.source_set(v)]
-        by_id = {e.id: e for e in self.tabled}
         relevant: set = set()
         stack = list(demands)
         while stack:
@@ -589,7 +685,7 @@ class _Search:
         try:
             for tables in self.solutions(pins, budget):
                 return SolveOutcome(Status.SOLVABLE, _witness(self.net, self.k, tables), self.searched)
-            return SolveOutcome(Status.UNSOLVABLE_AT_K, None, self.searched)
+            return SolveOutcome(Status.UNSOLVABLE_AT_K, None, self.searched, self.cut)
         except BudgetExhausted:
             return SolveOutcome(Status.BUDGET_EXHAUSTED, None, self.searched)
 
@@ -607,8 +703,8 @@ def solve_at_k(net: Network, k: int, opts: Optional[SolveOptions] = None) -> Sol
     """Decide solvability at a fixed default size k.
 
     SOLVABLE outcomes carry a witness that has already passed verify_scheme;
-    UNSOLVABLE_AT_K means the complete search found nothing at this k (it says
-    nothing about other k).
+    UNSOLVABLE_AT_K means that a cut refuted k (``outcome.cut``) or that the
+    complete search found nothing at this k (it says nothing about other k).
     """
     opts = opts or SolveOptions()
     return _Search(net, k, opts.pins, opts.symmetry_breaking).decide(opts.pins, opts.node_budget)

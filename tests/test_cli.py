@@ -53,9 +53,14 @@ def test_solve_exit_codes(capsys, butterfly_file, pigeonhole_file):
     code, doc = run_json(capsys, ["solve", butterfly_file, "--k", "2"])
     assert code == 0 and doc["status"] == "solvable"
     assert set(doc["witness"]) == {"k", "encodings", "decodings"}
+    assert doc["cut"] is None
     code, doc = run_json(capsys, ["solve", pigeonhole_file, "--k", "2"])
     assert code == 1 and doc["status"] == "unsolvable-at-k" and doc["witness"] is None
+    # the cut decides the pigeonhole net whatever the budget, so the
+    # exhausted budget is shown on a net that needs search
     code, doc = run_json(capsys, ["solve", pigeonhole_file, "--k", "2", "--budget", "1"])
+    assert code == 1 and doc["searched"] == 0 and doc["cut"] == {"node": "t", "edges": ["e1"]}
+    code, doc = run_json(capsys, ["solve", butterfly_file, "--k", "3", "--budget", "1"])
     assert code == 2 and doc["status"] == "budget-exhausted"
 
 
@@ -69,10 +74,14 @@ def test_classic_butterfly_file_solved_at_k5(capsys, classic_butterfly):
 
 def test_sweep(capsys, butterfly_file, pigeonhole_file):
     code, doc = run_json(capsys, ["sweep", butterfly_file, "--k-max", "4"])
-    assert code == 0 and doc["found"]["k"] == 1
+    assert code == 0 and doc["found"]["k"] == 1 and doc["unsolvable_from"] is None
     code, doc = run_json(capsys, ["sweep", pigeonhole_file, "--k-max", "4"])
     assert code == 1 and doc["found"] is None
     assert "semi-decision" in doc["note"]
+    # a size-3 message over a size-2 edge: the cut refutes every k
+    assert doc["unsolvable_from"] == 1
+    code, doc = run_json(capsys, ["sweep", butterfly_file, "--k-max", "4", "--budget", "1"])
+    assert code == 2 and doc["status"] == "budget-exhausted" and doc["unsolvable_from"] is None
 
 
 def test_solve_output_byte_identical(capsys, butterfly_file):
@@ -83,6 +92,18 @@ def test_solve_output_byte_identical(capsys, butterfly_file):
     doc = json.loads(outs[0])
     assert doc["status"] == "solvable" and doc["searched"] > 0
     assert outs[0] == outs[1]
+
+
+def test_cut_output_byte_identical(capsys):
+    # the relay network is refuted by a cut at every k, without search
+    net = str(pathlib.Path(__file__).parent / "data" / "relay.json")
+    outs = []
+    for _ in range(2):
+        assert run(["solve", net, "--k", "50"]) == 1
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    doc = json.loads(outs[0])
+    assert doc["searched"] == 0 and doc["cut"] == {"node": "t", "edges": ["a>r", "c>t"]}
 
 
 def test_bad_inputs(capsys, tmp_path):

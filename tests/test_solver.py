@@ -4,24 +4,29 @@ import itertools
 import json
 import math
 import operator
+import pathlib
 import random
 from typing import Optional
 
 import pytest
 
 from pfsnet import tiling
+from pfsnet.cli import run
 from pfsnet.model import (
     CodingScheme,
     DEFAULT,
     Edge,
     Network,
+    deserialize,
     fixed,
     resolve_size,
     scheme_to_json_dict,
+    serialize,
     validate,
 )
 from pfsnet.solver import (
     BudgetExhausted,
+    Cut,
     SolveOptions,
     Status,
     derive_decodings,
@@ -29,8 +34,10 @@ from pfsnet.solver import (
     naive_solve_at_k,
     solve_at_k,
     _Search,
+    cut_at,
     solve_up_to,
     table_domain,
+    unsolvable_from,
     verify_scheme,
 )
 
@@ -423,8 +430,10 @@ def test_butterfly_trial_counts(classic_butterfly, k):
 
 def test_reduced_net_trial_counts():
     net = tiling.reduce(tiling.ConditionProgram(2, ()))
+    # at k=1 a cycles gate's X2 edge (size 1) cannot carry its U (size 2)
     one = solve_at_k(net, 1)
-    assert one.status is Status.UNSOLVABLE_AT_K and one.searched == 9
+    assert one.status is Status.UNSOLVABLE_AT_K and one.searched == 0
+    assert one.cut == Cut("cycx/01.du", ("cycx/00.X2.e",))
     two = solve_at_k(net, 2)
     assert two.solvable and two.searched == 588
 
@@ -478,3 +487,122 @@ def test_deep_network_no_recursion_error():
     net = Network(nodes, edges, (fixed(2),), {nodes[0]: {1}}, {nodes[-1]: {1}})
     out = solve_at_k(net, 1)
     assert out.solvable and verify_scheme(net, out.scheme).ok
+
+
+def test_cut_refutations_agree_with_naive_oracle():
+    # the cut-set bound refutes a network before any search: every such
+    # refutation, under pins too, agrees with the naive oracle, and a setup
+    # serves runs with other pin tables as fresh solves do.  Some demand
+    # nodes also source a message they demand (it needs no capacity), and
+    # some read two edges from one relay (they count once)
+    rng = random.Random(20261020)
+    seen = set()
+    for trial in range(300):
+        net = random_pruning_net(rng)
+        if not net.demands:
+            continue
+        t = rng.choice(sorted(net.demands))
+        if rng.random() < 0.4:
+            sources = {v: set(m) for v, m in net.sources.items()}
+            sources.setdefault(t, set()).add(rng.choice(sorted(net.demands[t])))
+            net = dataclasses.replace(net, sources=sources)
+        if rng.random() < 0.4:
+            # one edge into t becomes two edges from a relay
+            e = rng.choice(net.in_edges(t))
+            edges = [f for f in net.edges if f is not e]
+            edges += [Edge(e.id, e.tail, "r", e.size), Edge("r>1", "r", t, e.size), Edge("r>2", "r", t, e.size)]
+            net = dataclasses.replace(net, nodes=(*net.nodes, "r"), edges=tuple(edges),
+                                      broadcast=net.broadcast | {"r"})
+        for k in (1, 2, 3):
+            if _naive_cost(net, k) > 20_000:
+                continue
+            pins = random_pins(rng, net, k)
+            want = naive_solve_at_k(net, k, pins=pins)
+            got = solve_at_k(net, k, SolveOptions(pins=pins))
+            assert got.solvable == want, (trial, k, pins, net)
+            assert got.cut == cut_at(net, k)
+            if got.cut:
+                assert got.searched == 0 and not want
+                t = got.cut.node
+                roots = len(got.cut.edges) < len(net.in_edges(t))
+                seen.add(("cut", bool(net.demands[t] & net.source_set(t)), roots, bool(pins)))
+            else:
+                seen.add(("search", want))
+            search = _Search(net, k, pins)
+            for run_pins in (pins, {e.id: random_table(rng, net, e, k) for e in net.edges if e.id in pins}):
+                fresh = solve_at_k(net, k, SolveOptions(pins=run_pins))
+                assert search.decide(run_pins, None) == fresh
+    # cuts fired with and without a sourced demand, a shared relay and pins
+    assert {("cut", a, b, c) for a in (False, True) for b in (False, True) for c in (False, True)} <= seen
+    assert {("search", False), ("search", True)} <= seen
+
+
+def test_cut_sources_and_relays():
+    # t demands messages 1 (size 3) and 2 (size k) and sources 2 itself, so
+    # it needs 3 values; they reach it on edge x (size 3) twice, through a
+    # broadcast relay, and on edge y (size 1)
+    net = Network(("s", "r", "t"),
+                  (Edge("x", "s", "r", fixed(3)), Edge("r>t.1", "r", "t", fixed(3)),
+                   Edge("r>t.2", "r", "t", fixed(3)), Edge("y", "s", "t", fixed(1))),
+                  (fixed(3), DEFAULT), {"s": {1, 2}, "t": {2}}, {"t": {1, 2}}, {"r"})
+    assert cut_at(net, 2) is None and solve_at_k(net, 2).solvable
+    assert unsolvable_from(net) is None
+    # with x at size 2 the relay's two edges still carry 2 values, not 4
+    narrow = dataclasses.replace(net, edges=(Edge("x", "s", "r", fixed(2)), *net.edges[1:]))
+    out = solve_at_k(narrow, 2)
+    assert out.status is Status.UNSOLVABLE_AT_K and out.searched == 0
+    assert out.cut == Cut("t", ("x", "y")) and not naive_solve_at_k(narrow, 2)
+    assert unsolvable_from(narrow) == 1
+
+
+@pytest.mark.parametrize("edges, messages, k0", [
+    # a size-k edge against messages of sizes k and 2, at every k
+    ((DEFAULT,), (DEFAULT, fixed(2)), 1),
+    # k against k^2, from k=2
+    ((DEFAULT,), (DEFAULT, DEFAULT), 2),
+    # 5 against k, from k=6
+    ((fixed(5),), (DEFAULT,), 6),
+    # 2k against k^2 (with a size-1 edge), from k=3
+    ((DEFAULT, fixed(2), fixed(1)), (DEFAULT, DEFAULT), 3),
+])
+def test_cut_refutes_every_k_from_k0(capsys, tmp_path, edges, messages, k0):
+    net = Network(("s", "t"), tuple(Edge(f"e{i}", "s", "t", size) for i, size in enumerate(edges)),
+                  messages, {"s": set(range(1, len(messages) + 1))}, {"t": set(range(1, len(messages) + 1))})
+    assert unsolvable_from(net) == k0
+    if k0 > 1:
+        assert cut_at(net, k0 - 1) is None and solve_at_k(net, k0 - 1).solvable
+    for k in range(k0, k0 + 4):
+        out = solve_at_k(net, k)
+        assert out.status is Status.UNSOLVABLE_AT_K and out.searched == 0 and out.cut.node == "t"
+    path = tmp_path / "net.json"
+    path.write_text(serialize(net))
+    assert run(["sweep", str(path), "--k-max", "1"]) == (1 if k0 == 1 else 0)
+    assert json.loads(capsys.readouterr().out)["unsolvable_from"] == k0
+
+
+def test_unsolvable_from_joins_small_and_large_k():
+    # t1 gets a message of size k over a size-3 edge: refuted for k >= 4.
+    # t2 gets a message of size m over a size-k edge: refuted for k < m.
+    # With m = 4 every k is refuted; with m = 3, k = 3 is solvable
+    for m, k0 in ((4, 1), (3, 4)):
+        net = Network(("s", "t1", "t2"),
+                      (Edge("a", "s", "t1", fixed(3)), Edge("b", "s", "t2", DEFAULT)),
+                      (DEFAULT, fixed(m)), {"s": {1, 2}}, {"t1": {1}, "t2": {2}})
+        assert unsolvable_from(net) == k0
+        refuted = [k for k in range(1, 9) if cut_at(net, k)]
+        assert refuted == [k for k in range(1, 9) if k >= 4 or k < m]
+        if k0 > 1:
+            assert solve_at_k(net, k0 - 1).solvable
+
+
+def test_relay_network_needs_no_search():
+    # tests/data/relay.json: messages of sizes k and 2 reach the sink over
+    # one size-k edge, relayed twice, and one size-1 edge; the search takes
+    # 80, 186, 1,173, 3,196 and 26,510 trials at k=2..6 without the cut
+    path = pathlib.Path(__file__).parent / "data" / "relay.json"
+    net = deserialize(path.read_text())
+    for k in (1, 2, 8, 50):
+        out = solve_at_k(net, k)
+        assert out.status is Status.UNSOLVABLE_AT_K and out.searched == 0
+        assert out.cut == Cut("t", ("a>r", "c>t"))
+    assert unsolvable_from(net) == 1
