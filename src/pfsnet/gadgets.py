@@ -738,8 +738,9 @@ class _Composer:
                 self._pin(eid, part, p.name, cf, p.size, cf.inputs)
         # register outputs, pin them if asked
         cond_ports = [p.name for p in g.ports if p.kind is PortKind.CONDITION_IN]
+        by_id = {e.id: e for e in g.edges}
         for name, (eid, dist) in g.sig_out.items():
-            edge = next(e for e in g.edges if e.id == eid)
+            edge = by_id[eid]
             self.out_edges[(part, name)] = prefix + eid
             self.out_dists[(part, name)] = (prefix + dist, edge.size)
             cf = bindings.get(name)

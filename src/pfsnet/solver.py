@@ -57,6 +57,23 @@ default-size messages than roots), for every k up to some j_t (fewer), or
 for every k or none (as many); ``unsolvable_from`` is the least k0 from
 which some cut refutes every k.
 
+Under symmetry breaking the setup also pins by dominance (Chu & Stuckey
+2015): a searched edge e that can carry its tail's whole view, size(e) >=
+dom_size(tail), is fixed to the identity on its table indices.  This loses
+no scheme.  Take any scheme and replace f_e by the identity: each consumer
+of e's value, directly or through broadcast relays, now reads the table
+index and recomputes the old f_e from it, so every other edge carries what
+it carried before.  Only e's own per-tuple values change, so restricted
+growth of every other edge survives: a first-reached entry keeps its value
+sequence (an old entry may split into several, but each later part repeats
+a value already in use).  Dominance-pinned edges are never relabelled; when
+a relabelling of another edge reaches their tail, re-pinning them changes
+only their own values again.  The consumers must be free to change, so the
+rule skips an edge whose consumers (through relays) have a caller-pinned
+out-edge, and it is off in ``enumerate_solutions``, which lists every
+scheme.  The pinned entries are set in the run template with no frame, like
+a caller's pins, so they are never branch points and take no blame.
+
 ``naive_solve_at_k`` is a deliberately independent oracle that enumerates all
 table combinations with no pruning and no symmetry breaking.
 """
@@ -377,7 +394,8 @@ class _Search:
     network, k, which edges are pinned and symmetry breaking: it validates the
     network, stops at a cut that refutes k (see the module docstring), and
     otherwise fixes the tuple order, the roots, the searched edges, their
-    domain columns, their symmetry eligibility and the frontier-cut checks.
+    domain columns, their symmetry eligibility, the dominance pins and the
+    frontier-cut checks.
     A run (``solutions`` or ``decide``) takes the pin tables and the budget
     and starts from copies of the setup's rows and tables and from fresh
     keys, trail and failure counts, so one setup serves any number of runs
@@ -526,11 +544,15 @@ class _Search:
         # tuple in graded order (every tuple of the sub-box {0..j}^n before
         # any tuple with a value above j; the sort is stable, so each grade
         # stays in lexicographic order), the searched edges' tables with
-        # every entry unset, and the frame bits of their entries (see
-        # ``solutions``)
+        # every entry unset but those of the dominance pins (see the module
+        # docstring), and the frame bits of their entries (see
+        # ``solutions``), 0 for a dominance pin as for a caller's pin
         tail = [0] * (n + n_msgs + n)
         self.rows = [[*t, *tail] for t in (sorted(layout.tuples, key=max) if n_msgs else layout.tuples)]
-        self.blank = [(e.id, [-1] * self.dom_size[e.id]) for e in self.edges]
+        self.dominated = frozenset(e.id for e, ok in zip(self.edges, self.sym) if ok
+                                   and e.id not in self.pinned and self.size[e.id] >= self.dom_size[e.id])
+        self.blank = [(e.id, list(range(self.dom_size[e.id])) if e.id in self.dominated
+                       else [-1] * self.dom_size[e.id]) for e in self.edges]
         self.setter = [[0] * self.dom_size[e.id] for e in self.edges]
         self.sizes = [self.size[e.id] for e in self.edges]
 

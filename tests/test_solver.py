@@ -180,12 +180,22 @@ def test_pins(butterfly):
         solve_at_k(net, 2, SolveOptions(pins={"no-such-edge": (0,)}))
 
 
-def test_budget(classic_butterfly):
+def test_budget(butterfly, classic_butterfly):
+    # the classic butterfly still branches at k=2 (its m>c cannot carry its
+    # tail's k^2 values), but at k=1 every edge is pinned and takes no trial
     out = solve_at_k(classic_butterfly, 2, SolveOptions(node_budget=3))
     assert out.status is Status.BUDGET_EXHAUSTED
+    assert solve_up_to(classic_butterfly, 3, SolveOptions(node_budget=0))[0] == 1
+    # the parity gate's one tabled edge (2 values, a view of 4) is searched
+    # at k=1, its only k
     with pytest.raises(BudgetExhausted) as exc:
-        solve_up_to(classic_butterfly, 3, SolveOptions(node_budget=3))
+        solve_up_to(butterfly.net, 3, SolveOptions(node_budget=3))
     assert exc.value.k == 1
+    # a reduced network is refuted at k=1 by a cut and searched at k=2, so
+    # an exhausted budget there carries k=2 and is never a negative answer
+    with pytest.raises(BudgetExhausted) as exc:
+        solve_up_to(tiling.reduce(tiling.ConditionProgram(2, ())), 3, SolveOptions(node_budget=3))
+    assert exc.value.k == 2
 
 
 def test_determinism(classic_butterfly):
@@ -418,7 +428,7 @@ def test_symmetry_breaking_needs_no_blame_for_restricted_growth():
     assert outcomes == {Status.SOLVABLE, Status.UNSOLVABLE_AT_K}
 
 
-BUTTERFLY_TRIALS = {2: 40, 3: 153, 4: 553, 5: 7_940, 6: 7_023}
+BUTTERFLY_TRIALS = {2: 6, 3: 24, 4: 40, 5: 296, 6: 779, 7: 2_479, 8: 288, 16: 2_176}
 
 
 @pytest.mark.parametrize("k", sorted(BUTTERFLY_TRIALS))
@@ -464,6 +474,7 @@ def test_enumerate_finds_every_scheme_naive_enumeration_finds():
     # every table is pinned
     rng = random.Random(20261020)
     counts = []
+    fired = 0
     for trial in range(40):
         net = random_pruning_net(rng, naive_cap=400)
         tabled = [e for e in net.edges if e.tail not in net.broadcast]
@@ -477,7 +488,10 @@ def test_enumerate_finds_every_scheme_naive_enumeration_finds():
             got = [tuple(sorted(s.encodings.items())) for s in enumerate_solutions(net, k)]
             assert len(got) == len(set(got)) and set(got) == naive, (trial, k, net)
             counts.append(len(naive))
-    assert 0 in counts and max(counts) > 100
+            # the enumeration lists every scheme where a solve would pin
+            search = _Search(net, k)
+            fired += search.cut is None and bool(search.dominated) and len(naive) > 1
+    assert 0 in counts and max(counts) > 100 and fired > 10
 
 
 def test_deep_network_no_recursion_error():
@@ -606,3 +620,72 @@ def test_relay_network_needs_no_search():
         assert out.status is Status.UNSOLVABLE_AT_K and out.searched == 0
         assert out.cut == Cut("t", ("a>r", "c>t"))
     assert unsolvable_from(net) == 1
+
+
+def with_relay(rng: random.Random, net: Network) -> Network:
+    """``net`` with one edge split through a new broadcast relay ``r``, which
+    feeds a second node after the edge's tail half the time.  The nodes of
+    ``random_micro_net`` are in topological order."""
+    e = rng.choice(net.edges)
+    outs = [Edge("r>0", "r", e.head, e.size)]
+    later = [v for v in net.nodes[net.nodes.index(e.tail) + 1:] if v != e.head]
+    if later and rng.random() < 0.5:
+        outs.append(Edge("r>1", "r", rng.choice(later), e.size))
+    edges = (*(f for f in net.edges if f is not e), Edge(e.id, e.tail, "r", e.size), *outs)
+    return dataclasses.replace(net, nodes=(*net.nodes, "r"), edges=edges, broadcast=net.broadcast | {"r"})
+
+
+def test_dominance_pins_agree_with_naive_oracle():
+    # an edge that can carry its tail's whole view is pinned to the identity
+    # on its table indices unless a consumer of its value, through relays,
+    # has a caller-pinned out-edge.  On random micro networks with one
+    # broadcast relay, with and without a caller pin, the search agrees
+    # with the naive oracle, and both the pin and the block occur
+    rng = random.Random(20261021)
+    seen = set()
+    for trial in range(500):
+        net = with_relay(rng, random_micro_net(rng))
+        for k in (1, 2):
+            if _naive_cost(net, k) > 20_000:
+                continue
+            # a pin blocks the rule only on a consumer's out-edge
+            tabled = [e for e in net.edges if e.tail not in net.broadcast]
+            e = rng.choice([e for e in tabled if net.in_edges(e.tail)] or tabled)
+            pins = {e.id: random_table(rng, net, e, k)} if rng.random() < 0.6 else {}
+            want = naive_solve_at_k(net, k, pins=pins)
+            got = solve_at_k(net, k, SolveOptions(pins=pins))
+            assert got.solvable == want, (trial, k, pins, net)
+            if got.solvable:
+                assert verify_scheme(net, got.scheme).ok
+                assert all(got.scheme.encodings[e] == t for e, t in pins.items())
+            search = _Search(net, k, pins)
+            if search.cut is None:
+                fits = {e.id for e in search.edges
+                        if e.id not in pins and search.size[e.id] >= search.dom_size[e.id]}
+                assert search.dominated <= fits and (pins or search.dominated == fits)
+                seen.add((bool(pins), bool(search.dominated), bool(fits - search.dominated), want))
+    assert {(False, True, False, True), (False, True, False, False), (True, True, False, True),
+            (True, False, True, True), (True, False, True, False)} <= seen
+
+
+def test_dominance_pins(classic_butterfly):
+    # the butterfly's m>c (k values over a view of k^2) is the only edge
+    # left to search, and the rule is off without symmetry breaking
+    pinned = {"s1>m", "s1>t1", "s2>m", "s2>t2", "c>t1", "c>t2"}
+    for k in (2, 3):
+        assert _Search(classic_butterfly, k).dominated == pinned
+        assert not _Search(classic_butterfly, k, symmetry_breaking=False).dominated
+    # e1 (3 values over a view of 2) is pinned unless e2, which reads it,
+    # is pinned by the caller, directly or through a relay; e2 (2 values
+    # over a view of 3) never is
+    net = Network(("s", "a", "t"),
+                  (Edge("e1", "s", "a", fixed(3)), Edge("e2", "a", "t", fixed(2))),
+                  (fixed(2),), {"s": {1}}, {"t": {1}})
+    chained = Network(("s", "b", "c", "t"),
+                      (Edge("e1", "s", "b", fixed(3)), Edge("eb", "b", "c", fixed(3)),
+                       Edge("e2", "c", "t", fixed(2))),
+                      (fixed(2),), {"s": {1}}, {"t": {1}}, broadcast={"b"})
+    for n in (net, chained):
+        assert _Search(n, 1).dominated == {"e1"}
+        assert not _Search(n, 1, ["e2"]).dominated
+        assert _Search(n, 1).blank[0] == ("e1", [0, 1]) and _Search(n, 1).setter[0] == [0, 0]
