@@ -315,10 +315,10 @@ def _cmd_reduce(args) -> int:
     net = tiling.reduce(program)
     _write(args.output, serialize(net))
     if args.output not in (None, "-"):
-        switches = {v.split("/")[0] for v in net.nodes if v.startswith("sw")}
         _emit({
             "command": "reduce", "colors": program.n_colors,
-            "switches": len(switches), "nodes": len(net.nodes), "edges": len(net.edges),
+            "switches": len(tiling.color_subsets(program.n_colors)),
+            "nodes": len(net.nodes), "edges": len(net.edges),
             "output": args.output,
         })
     return OK

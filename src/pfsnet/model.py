@@ -13,6 +13,7 @@ import heapq
 import itertools
 import json
 import operator
+from collections import Counter
 from json.encoder import encode_basestring_ascii as _quote
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Optional
@@ -171,12 +172,11 @@ def validate(net: Network) -> ValidationReport:
     """Check structural invariants; returns a report instead of raising."""
     bad: list = []
     nodeset = set(net.nodes)
-    if len(nodeset) != len(net.nodes):
-        bad.append(("node-id-duplicate", ""))
-    ids = [e.id for e in net.edges]
-    if len(set(ids)) != len(ids):
-        dup = sorted({i for i in ids if ids.count(i) > 1})
-        bad.append(("edge-id-duplicate", ",".join(dup)))
+    edge_ids = [e.id for e in net.edges]
+    for rule, ids in (("node-id-duplicate", net.nodes), ("edge-id-duplicate", edge_ids)):
+        if len(set(ids)) != len(ids):
+            dup = sorted(i for i, n in Counter(ids).items() if n > 1)
+            bad.append((rule, ",".join(dup)))
     for e in net.edges:
         if e.tail not in nodeset or e.head not in nodeset:
             bad.append(("endpoint", e.id))
@@ -192,8 +192,8 @@ def validate(net: Network) -> ValidationReport:
                 bad.extend(("message-index", f"{label}[{v}]={i}") for i in idxs if not 1 <= i <= l)
     if not any(rule == "endpoint" or rule == "cycle" for rule, _ in bad):
         order, indeg = _kahn(net)
-        if len(order) != len(net.nodes):
-            bad.append(("cycle", ",".join(sorted(v for v in net.nodes if indeg[v] > 0))))
+        if len(order) != len(nodeset):
+            bad.append(("cycle", ",".join(sorted(v for v, d in indeg.items() if d > 0))))
     for v in sorted(net.broadcast):
         if v not in nodeset:
             bad.append(("broadcast-node", v))
@@ -219,7 +219,7 @@ def _kahn(net: Network) -> tuple:
     indeg = {v: 0 for v in net.nodes}
     for e in net.edges:
         indeg[e.head] += 1
-    heap = [v for v in net.nodes if indeg[v] == 0]
+    heap = [v for v, d in indeg.items() if d == 0]
     heapq.heapify(heap)
     order = []
     while heap:
@@ -239,7 +239,7 @@ def topo_order(net: Network) -> tuple:
         if e.head not in nodes or e.tail not in nodes:
             raise InvalidNetwork(f"endpoint not declared: {e.id}")
     order, _ = _kahn(net)
-    if len(order) != len(net.nodes):
+    if len(order) != len(nodes):
         raise InvalidNetwork("cycle in edge relation")
     return tuple(order)
 

@@ -48,7 +48,7 @@ out-edge the root of its relay's in-edge.  So t's view is a function of the
 values on the distinct root edges into t, and two edges from one relay count
 once.  t must tell every value of D apart, so if the product of those roots'
 sizes is below the product of D's sizes, the network is unsolvable at k.
-Such a cut makes the setup infeasible: every run answers unsolvable after no
+Such a cut ends the setup at once: every run answers unsolvable after no
 trial, and the setup builds no rows, checks or tables.  Pins only restrict
 the tables, so the bound holds under pins too.  Both products have the form
 k^a·c, with a the count of default sizes and c the product of the fixed
@@ -56,6 +56,15 @@ ones.  So a demand node's bound fails for every k from some k_t on (more
 default-size messages than roots), for every k up to some j_t (fewer), or
 for every k or none (as many); ``unsolvable_from`` is the least k0 from
 which some cut refutes every k.
+
+Relay capacity is a cut of the same form.  A broadcast relay forwards its
+in-edge's value verbatim, so each of its out-edges must be at least as wide
+as the in-edge at k (``verify_scheme``'s ``broadcast-capacity`` rule); an
+out-edge of size k^a·c below the in-edge's k^b·d refutes k, whatever the
+tables and pins.  These bounds come after every demand node's, relays in
+sorted order, and such a cut names the relay and its narrow out-edge.  An
+out-edge whose size spec equals the in-edge's never fires and yields no
+bound; every relay that ``compose`` builds is of that kind.
 
 Under symmetry breaking the setup also pins by dominance (Chu & Stuckey
 2015): a searched edge e that can carry its tail's whole view, size(e) >=
@@ -132,7 +141,8 @@ class SolveOptions:
 
 class Cut(NamedTuple):
     """A cut-set refutation (see the module docstring): the demand node, and
-    the ids of the distinct root edges into it, sorted."""
+    the ids of the distinct root edges into it, sorted; or a broadcast relay
+    and the one out-edge too narrow for its in-edge."""
 
     node: str
     edges: tuple
@@ -142,7 +152,8 @@ class Cut(NamedTuple):
 class SolveOutcome:
     """``searched`` counts entry trials: one value tried at one table entry.
     The search is deterministic, so the count is the same on every run.
-    ``cut`` is the cut that refuted k without a search, if one did."""
+    ``cut`` is the cut that refuted k without a search, if one did: a
+    demand node and its root edges, or a relay and its narrow out-edge."""
 
     status: Status
     scheme: Optional[CodingScheme] = None
@@ -173,7 +184,10 @@ def _k_form(specs: Sequence) -> tuple:
 def _cut_bounds(net: Network) -> Iterator[tuple]:
     """Per demand node in sorted order: its Cut, the (a, c) of the sizes of
     the distinct root edges into it and the (b, d) of the sizes of the
-    messages it demands but does not source.  The network must be valid."""
+    messages it demands but does not source.  Then per broadcast relay in
+    sorted order, per out-edge whose size spec differs from the relay's
+    in-edge's: Cut(relay, (out-edge id,)), the (a, c) of the out-edge's size
+    and the (b, d) of the in-edge's.  The network must be valid."""
     for t in sorted(net.demands):
         roots = {}
         for f in net.in_edges(t):
@@ -182,11 +196,16 @@ def _cut_bounds(net: Network) -> Iterator[tuple]:
             roots[f.id] = f.size
         need = [net.messages[i - 1] for i in net.demands[t] - net.source_set(t)]
         yield Cut(t, tuple(sorted(roots))), _k_form(list(roots.values())), _k_form(need)
+    for v in sorted(net.broadcast):
+        f = net.in_edges(v)[0]
+        for e in net.out_edges(v):
+            if e.size != f.size:
+                yield Cut(v, (e.id,)), _k_form([e.size]), _k_form([f.size])
 
 
 def cut_at(net: Network, k: int) -> Optional[Cut]:
-    """The first demand node's cut that refutes the valid network at k, or
-    None."""
+    """The first cut that refutes the valid network at k, demand nodes'
+    before relays', or None."""
     for cut, (a, c), (b, d) in _cut_bounds(net):
         if k ** a * c < k ** b * d:
             return cut
@@ -203,10 +222,11 @@ def _least_k(e: int, x: int, y: int) -> int:
 
 def unsolvable_from(net: Network) -> Optional[int]:
     """The least k0 such that a cut refutes the valid network at every
-    k >= k0, or None if no cut refutes every large k.  A demand node's cut
-    refutes k iff k^a·c < k^b·d: exactly the k from some k_t on if b > a
-    (or b = a and d > c, then k_t = 1), exactly those up to some j_t if
-    b < a.  k0 is the least k_t, or 1 when the j_t reach it."""
+    k >= k0, or None if no cut refutes every large k.  A cut, a demand
+    node's or a relay's, refutes k iff k^a·c < k^b·d: exactly the k from
+    some k_t on if b > a (or b = a and d > c, then k_t = 1), exactly those
+    up to some j_t if b < a.  k0 is the least k_t, or 1 when the j_t reach
+    it."""
     up, down = None, 0
     for _, (a, c), (b, d) in _cut_bounds(net):
         if b > a or b == a and d > c:
@@ -320,8 +340,6 @@ def verify_scheme(net: Network, scheme: CodingScheme) -> ValidationReport:
     dom_size = _layout(net, k).dom_size
     forced = {e.id for e in net.edges if e.tail in net.broadcast}
     for v in sorted(net.broadcast):
-        if not net.in_edges(v):
-            continue
         ins = resolve_size(net.in_edges(v)[0].size, k)
         for e in net.out_edges(v):
             if resolve_size(e.size, k) < ins:
@@ -392,7 +410,8 @@ class _Search:
 
     The work comes in two steps.  The setup (``__init__``) depends only on the
     network, k, which edges are pinned and symmetry breaking: it validates the
-    network, stops at a cut that refutes k (see the module docstring), and
+    network, stops at a cut that refutes k (a demand node and its root edges,
+    or a relay and its narrow out-edge; see the module docstring), and
     otherwise fixes the tuple order, the roots, the searched edges, their
     domain columns, their symmetry eligibility, the dominance pins and the
     frontier-cut checks.
@@ -420,8 +439,7 @@ class _Search:
                 raise ValueError(f"cannot pin broadcast out-edge {eid!r}")
         self.pinned = frozenset(pinned)
         self.cut = cut_at(net, k)
-        self.infeasible = self.cut is not None
-        if self.infeasible:
+        if self.cut is not None:
             # a run still checks its pins' lengths and ranges
             self.size = {eid: by_id[eid].size.resolve(k) for eid in self.pinned}
             self.dom_size = {eid: math.prod(size for _, size in table_domain(net, k, by_id[eid].tail))
@@ -433,10 +451,7 @@ class _Search:
         self.tabled = []  # edges with a table of their own
         for e in layout.order:
             if e.tail in net.broadcast:
-                f = net.in_edges(e.tail)[0]
-                root[e.id] = root[f.id]
-                if e.size.resolve(k) < f.size.resolve(k):
-                    self.infeasible = True  # forced relay cannot fit at this k
+                root[e.id] = root[net.in_edges(e.tail)[0].id]
             else:
                 root[e.id] = e.id
                 self.tabled.append(e)
@@ -576,7 +591,7 @@ class _Search:
                 raise ValueError(f"pin for {eid!r} has length {len(table)}, expected {self.dom_size[eid]}")
             if min(table) < 0 or max(table) >= self.size[eid]:
                 raise ValueError(f"pin for {eid!r} out of range")
-        if self.infeasible:
+        if self.cut is not None:
             return
         n = len(self.edges)
         T = len(self.rows)

@@ -71,6 +71,23 @@ def test_validate_broadcast_shape():
     assert "broadcast-shape" in {r for r, _ in validate(net2).violations}
 
 
+def test_validate_duplicate_ids():
+    # each repeated node or edge id is named once, the ids sorted; a
+    # repeated node is no cycle
+    net = Network(("b", "a", "c", "b", "a"),
+                  (Edge("x", "a", "b", DEFAULT), Edge("y", "a", "c", DEFAULT), Edge("x", "b", "c", DEFAULT)),
+                  (), {}, {})
+    assert validate(net).violations == (("node-id-duplicate", "a,b"), ("edge-id-duplicate", "x"))
+
+
+def test_validate_duplicate_edge_ids_at_scale():
+    # 100K edges, two ids repeated: the ids are counted in one pass
+    edges = [Edge(f"e{i}", "a", "b", DEFAULT) for i in range(99_998)]
+    edges += [Edge("e500", "b", "a", DEFAULT), Edge("e42", "a", "b", DEFAULT)]
+    net = Network(("a", "b"), tuple(edges), (), {}, {})
+    assert ("edge-id-duplicate", "e42,e500") in validate(net).violations
+
+
 def test_validate_demand_unfed():
     net = Network(("a", "b"), (Edge("e", "a", "b", fixed(2)),), (fixed(2),),
                   {"b": {1}}, {"a": {1}})

@@ -507,8 +507,9 @@ def test_cut_refutations_agree_with_naive_oracle():
     # the cut-set bound refutes a network before any search: every such
     # refutation, under pins too, agrees with the naive oracle, and a setup
     # serves runs with other pin tables as fresh solves do.  Some demand
-    # nodes also source a message they demand (it needs no capacity), and
-    # some read two edges from one relay (they count once)
+    # nodes also source a message they demand (it needs no capacity), some
+    # read two edges from one relay (they count once), and some relays have
+    # an out-edge narrower than their in-edge at k (a relay's cut)
     rng = random.Random(20261020)
     seen = set()
     for trial in range(300):
@@ -538,16 +539,23 @@ def test_cut_refutations_agree_with_naive_oracle():
             if got.cut:
                 assert got.searched == 0 and not want
                 t = got.cut.node
-                roots = len(got.cut.edges) < len(net.in_edges(t))
-                seen.add(("cut", bool(net.demands[t] & net.source_set(t)), roots, bool(pins)))
+                if t in net.broadcast:
+                    (e,) = (f for f in net.edges if f.id in got.cut.edges)
+                    assert e.tail == t and e.size.resolve(k) < net.in_edges(t)[0].size.resolve(k)
+                    seen.add(("relay-cut", bool(pins)))
+                else:
+                    roots = len(got.cut.edges) < len(net.in_edges(t))
+                    seen.add(("cut", bool(net.demands[t] & net.source_set(t)), roots, bool(pins)))
             else:
                 seen.add(("search", want))
             search = _Search(net, k, pins)
             for run_pins in (pins, {e.id: random_table(rng, net, e, k) for e in net.edges if e.id in pins}):
                 fresh = solve_at_k(net, k, SolveOptions(pins=run_pins))
                 assert search.decide(run_pins, None) == fresh
-    # cuts fired with and without a sourced demand, a shared relay and pins
+    # cuts fired with and without a sourced demand, a shared relay and pins,
+    # and relays' cuts with and without pins
     assert {("cut", a, b, c) for a in (False, True) for b in (False, True) for c in (False, True)} <= seen
+    assert {("relay-cut", False), ("relay-cut", True)} <= seen
     assert {("search", False), ("search", True)} <= seen
 
 
@@ -620,6 +628,30 @@ def test_relay_network_needs_no_search():
         assert out.status is Status.UNSOLVABLE_AT_K and out.searched == 0
         assert out.cut == Cut("t", ("a>r", "c>t"))
     assert unsolvable_from(net) == 1
+
+
+def test_narrow_relay_needs_no_search(capsys):
+    # tests/data/narrow_relay.json: message 1 (size k) reaches t through the
+    # broadcast relay r, whose out-edge b has size 2.  From k=3 on, b cannot
+    # forward r's in-edge a, so a relay's cut refutes k before the setup
+    # lays out the k message tuples
+    path = pathlib.Path(__file__).parent / "data" / "narrow_relay.json"
+    net = deserialize(path.read_text())
+    for k in (1, 2, 3):
+        out = solve_at_k(net, k)
+        assert out.solvable == naive_solve_at_k(net, k) == (k < 3)
+        assert out.cut == (Cut("r", ("b",)) if k == 3 else None)
+    out = solve_at_k(net, 10**6)
+    assert out.status is Status.UNSOLVABLE_AT_K and out.searched == 0 and out.cut == Cut("r", ("b",))
+    assert 10**6 not in net._layouts
+    assert unsolvable_from(net) == 3
+    assert run(["solve", str(path), "--k", "1000000"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "unsolvable-at-k" and doc["searched"] == 0
+    assert doc["cut"] == {"node": "r", "edges": ["b"]}
+    assert run(["sweep", str(path), "--k-max", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["found"]["k"] == 1 and doc["unsolvable_from"] == 3
 
 
 def with_relay(rng: random.Random, net: Network) -> Network:
