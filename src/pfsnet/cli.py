@@ -284,10 +284,15 @@ def _cmd_verify_checker(args) -> int:
         if family is None:
             raise _UsageError(f"{args.name} has no default family conditioned on W; pass one with --family")
     sizes = {p.name: args.b or 2 for p in g.ports if p.size is None}
+    checks: list = []  # the network oracle's check per candidate shape
+
+    def pinned_search(first):
+        checks.append(gadgets._PinnedSearch(g, first, args.k, sizes))
+        return checks[-1]
+
     try:
         entries = gadgets._normalize_family(g, family)
-        net = [o.solvable for o in gadgets._verdicts(
-            entries, lambda first: gadgets._pinned_search(g, first, args.k, sizes))]
+        net = [o.solvable for o in gadgets._verdicts(entries, pinned_search)]
     except gadgets.ComposeError as exc:
         if not args.family:
             raise
@@ -299,6 +304,7 @@ def _cmd_verify_checker(args) -> int:
         "name": g.name,
         "k": args.k,
         "family_size": len(family),
+        "network_runs": sum(check.runs for check in checks),
         "accepted": sum(net),
         "accepted_indices": [i for i, ok in enumerate(net) if ok],
         "accepted_candidates": [

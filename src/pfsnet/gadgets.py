@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from . import entropy
 from .model import DEFAULT, Edge, Network, SizeSpec, fixed, resolve_size
-from .solver import _Search
+from .solver import SolveOutcome, Status, _Search
 
 
 class ComposeError(ValueError):
@@ -896,16 +896,53 @@ def _verdicts(entries: Sequence[Mapping[str, CandidateFunction]], setup) -> Iter
         yield verdict
 
 
-def _pinned_search(gadget: Gadget, first: Mapping[str, CandidateFunction], k: int, sizes: Mapping):
-    """The network oracle's setup for the shape of ``first``: its embedding
-    and one search setup (see ``solver._Search``).  Its check gives the
-    outcome of ``solve_at_k`` on a candidate's embedding with its pins: the
-    same status, ``searched`` count and verified witness."""
-    comp = _embedding(gadget, first, k, sizes)
-    search = _Search(comp.net, k, comp.pins)
-    return lambda entry: search.decide(
-        {eid: _candidate_values(where, entry[port], size, keys)
-         for eid, (port, where, size, keys) in comp.pin_domains.items()}, None)
+class _PinnedSearch:
+    """The network oracle's check for the shape of ``first``: its embedding,
+    one search setup (see ``solver._Search``) and a trie of the cores of the
+    refutations so far.  Calling it on a candidate (checked first by
+    ``_candidate_values``) gives the status and the scheme of ``solve_at_k``
+    on the candidate's embedding with its pins.  A candidate whose pin
+    tables repeat a stored core's values is refuted without a run, with
+    ``searched`` 0 and that core; any other is one run of the search, with
+    the fresh solve's ``searched`` count and verified witness, and its core,
+    if it is refuted, joins the trie.  An empty core refutes every later
+    candidate.  ``runs`` counts the candidates searched."""
+
+    def __init__(self, gadget: Gadget, first: Mapping[str, CandidateFunction], k: int, sizes: Mapping):
+        comp = _embedding(gadget, first, k, sizes)
+        self.pin_domains = comp.pin_domains
+        self.search = _Search(comp.net, k, comp.pins)
+        # (edge id, table index) -> value -> node; None -> the outcome of a
+        # candidate that the core ending there refutes
+        self.cores: dict = {}
+        self.runs = 0
+
+    def _covering(self, pins: Mapping[str, tuple]) -> Optional[SolveOutcome]:
+        """The outcome of a stored core whose values ``pins`` repeat, or None."""
+        stack = [self.cores]
+        while stack:
+            for entry, branches in stack.pop().items():
+                if entry is None:
+                    return branches
+                node = branches.get(pins[entry[0]][entry[1]])
+                if node is not None:
+                    stack.append(node)
+        return None
+
+    def __call__(self, entry: Mapping[str, CandidateFunction]) -> SolveOutcome:
+        pins = {eid: _candidate_values(where, entry[port], size, keys)
+                for eid, (port, where, size, keys) in self.pin_domains.items()}
+        refuted = self._covering(pins)
+        if refuted is not None:
+            return refuted
+        self.runs += 1
+        outcome = self.search.decide(pins, None)
+        if outcome.core is not None:
+            node = self.cores
+            for eid, d in outcome.core:
+                node = node.setdefault((eid, d), {}).setdefault(pins[eid][d], {})
+            node[None] = SolveOutcome(Status.UNSOLVABLE_AT_K, None, 0, outcome.cut, outcome.core)
+        return outcome
 
 
 def accepted_set(gadget: Gadget, family: Sequence, k: int,
@@ -913,10 +950,11 @@ def accepted_set(gadget: Gadget, family: Sequence, k: int,
     """Candidates accepted by the network oracle: each candidate is pinned
     into an embedding network (checker internals left free) and kept iff the
     network is solvable at k.  ``sizes`` instantiates unsized ports.  The
-    embedding and the search setup are built once per candidate shape, and
-    each candidate is one run of the search (see ``_pinned_search``)."""
+    embedding and the search setup are built once per candidate shape; each
+    candidate is one run of the search, unless the core of an earlier
+    refutation of its shape already refutes it (see ``_PinnedSearch``)."""
     entries = _normalize_family(gadget, family)
-    outcomes = _verdicts(entries, lambda first: _pinned_search(gadget, first, k, sizes or {}))
+    outcomes = _verdicts(entries, lambda first: _PinnedSearch(gadget, first, k, sizes or {}))
     return [entry for entry, outcome in zip(entries, outcomes) if outcome.solvable]
 
 

@@ -83,6 +83,26 @@ out-edge, and it is off in ``enumerate_solutions``, which lists every
 scheme.  The pinned entries are set in the run template with no frame, like
 a caller's pins, so they are never branch points and take no blame.
 
+Each entry of a caller's pin does take blame: it has a blame bit of its own,
+below every frame's, and a check that reads it, directly or through the
+entries it indexes, blames that bit as it blames a frame.  A jump goes to
+the newest frame blamed, and a pin bit is never one, so the jumps, the trial
+count and the witness are those of a search whose pins take no blame.  When
+no frame is left to blame, the conflict left over is the refutation's core:
+the pinned entries it rests on.  The core is sound.  Each conflict set
+states that no scheme passing every check agrees with the values of the
+entries it names (up to a relabelling, below), and each step keeps that
+true.  A failed check computes its two keys from the entries it blames, so
+every scheme that agrees with them fails it too.  An exhausted branch point
+tried each value up to its restricted-growth cap, and relabelling its edge
+maps a scheme that gives it a higher value onto one that gives it the cap.
+That relabelling changes only the edge and its consumers, which carry no
+caller's pin, and only at values that no earlier entry of the edge holds,
+so it keeps every entry that the conflict set names; the dominance pins,
+too, change only tables free of a caller's pin.  So any pin tables that
+repeat the core's values leave the network unsolvable at k.  A cut's core is
+empty, and so is that of a refutation that never reads a pinned entry.
+
 ``naive_solve_at_k`` is a deliberately independent oracle that enumerates all
 table combinations with no pruning and no symmetry breaking.
 """
@@ -153,12 +173,18 @@ class SolveOutcome:
     """``searched`` counts entry trials: one value tried at one table entry.
     The search is deterministic, so the count is the same on every run.
     ``cut`` is the cut that refuted k without a search, if one did: a
-    demand node and its root edges, or a relay and its narrow out-edge."""
+    demand node and its root edges, or a relay and its narrow out-edge.
+    ``core`` is set on an UNSOLVABLE_AT_K outcome only: the caller-pinned
+    entries, as (edge id, table index) pairs, that the refutation rests on
+    (see the module docstring); any pins that repeat their values are
+    refuted too.  It is ``()`` when a cut refuted k or the refutation names
+    no pin."""
 
     status: Status
     scheme: Optional[CodingScheme] = None
     searched: int = 0
     cut: Optional[Cut] = None
+    core: Optional[tuple] = None
 
     @property
     def solvable(self) -> bool:
@@ -275,41 +301,48 @@ def _layout(net: Network, k: int) -> _Layout:
     return layout
 
 
-def _table_index(dom: Sequence[tuple], values: Mapping) -> int:
-    """The row-major index of ``values`` in a table over ``dom``."""
-    idx = 0
+def _index_column(dom: Sequence[tuple], cols: Mapping, n: int) -> list:
+    """Per message tuple, the row-major index into a table over ``dom``, read
+    off the columns ``cols`` (``_columns``) of ``n`` tuples."""
+    idx = None
     for src, size in dom:
-        idx = idx * size + values[src]
-    return idx
+        col = cols[src]
+        idx = col if idx is None else list(map(operator.add, map(size.__mul__, idx), col))
+    return [0] * n if idx is None else idx
+
+
+def _rows(want: Collection[int], cols: Mapping) -> list:
+    """Per message tuple, the values of the messages ``want``, ascending
+    (no rows if ``want`` is empty)."""
+    return list(zip(*(cols[i] for i in sorted(want))))
+
+
+def _columns(net: Network, k: int, encodings: Mapping[str, Sequence[int]]) -> dict:
+    """The evaluation of the encoding tables at k column-wise: for each
+    message index (int) and then each edge id (str) in ``edge_eval_order``,
+    its value on every message tuple of ``_layout(net, k).tuples``, in
+    order.  A broadcast out-edge shares its relay's in-edge's list.  The one
+    evaluation behind ``simulate``, ``derive_decodings`` and
+    ``verify_scheme``."""
+    layout = _layout(net, k)
+    n = len(layout.tuples)
+    cols: dict = {i: [t[i - 1] for t in layout.tuples] for i in range(1, net.n_messages + 1)}
+    for e in layout.order:
+        if e.tail in net.broadcast:
+            cols[e.id] = cols[net.in_edges(e.tail)[0].id]
+        else:
+            idx = _index_column(layout.domain[e.tail], cols, n)
+            cols[e.id] = list(map(encodings[e.id].__getitem__, idx))
+    return cols
 
 
 def simulate(net: Network, scheme: CodingScheme) -> Iterator[dict]:
     """For every message tuple, yield one mapping from message index (int)
     and edge id (str) to value: the messages 1..l, then the edge signals in
     ``edge_eval_order``."""
-    layout = _layout(net, scheme.k)
-    plan = []  # per edge: (id, table, domain), or (id, None, in-edge id) for a relay
-    for e in layout.order:
-        if e.tail in net.broadcast:
-            plan.append((e.id, None, net.in_edges(e.tail)[0].id))
-        else:
-            plan.append((e.id, scheme.encodings[e.id], layout.domain[e.tail]))
-    labels = range(1, net.n_messages + 1)
-    for msg in layout.tuples:
-        values = dict(zip(labels, msg))
-        for eid, table, dom in plan:
-            values[eid] = values[dom] if table is None else table[_table_index(dom, values)]
-        yield values
-
-
-def _decoder_pass(net: Network, scheme: CodingScheme) -> Iterator[tuple]:
-    """(demand, decoding table index, demanded message values) for every
-    message tuple and demand."""
-    domain = _layout(net, scheme.k).domain
-    plan = [(v, domain[v], sorted(want)) for v, want in net.demands.items()]
-    for values in simulate(net, scheme):
-        for v, dom, want in plan:
-            yield v, _table_index(dom, values), tuple(map(values.__getitem__, want))
+    cols = _columns(net, scheme.k, scheme.encodings)
+    for t in range(len(_layout(net, scheme.k).tuples)):
+        yield {label: col[t] for label, col in cols.items()}
 
 
 def derive_decodings(net: Network, k: int, encodings: Mapping[str, Sequence[int]]) -> CodingScheme:
@@ -319,12 +352,15 @@ def derive_decodings(net: Network, k: int, encodings: Mapping[str, Sequence[int]
     the encodings do not actually separate some demand, the resulting scheme
     simply fails verify_scheme.
     """
-    partial = CodingScheme(k=k, encodings=encodings, decodings={})
-    dom_size = _layout(net, k).dom_size
-    tables = {v: [(0,) * len(want)] * dom_size[v] for v, want in net.demands.items()}
-    for v, idx, got in _decoder_pass(net, partial):
-        tables[v][idx] = got
-    return CodingScheme(k=k, encodings=partial.encodings, decodings=tables)
+    layout = _layout(net, k)
+    cols, n = _columns(net, k, encodings), len(layout.tuples)
+    tables = {}
+    for v, want in net.demands.items():
+        table = tables[v] = [(0,) * len(want)] * layout.dom_size[v]
+        # the last tuple that reaches an entry sets it
+        for idx, got in dict(zip(_index_column(layout.domain[v], cols, n), _rows(want, cols))).items():
+            table[idx] = got
+    return CodingScheme(k=k, encodings=encodings, decodings=tables)
 
 
 def verify_scheme(net: Network, scheme: CodingScheme) -> ValidationReport:
@@ -337,7 +373,8 @@ def verify_scheme(net: Network, scheme: CodingScheme) -> ValidationReport:
     k = scheme.k
     if k < 1:
         return ValidationReport(False, (("k-positive", str(k)),))
-    dom_size = _layout(net, k).dom_size
+    layout = _layout(net, k)
+    dom_size = layout.dom_size
     forced = {e.id for e in net.edges if e.tail in net.broadcast}
     for v in sorted(net.broadcast):
         ins = resolve_size(net.in_edges(v)[0].size, k)
@@ -354,10 +391,8 @@ def verify_scheme(net: Network, scheme: CodingScheme) -> ValidationReport:
             bad.append(("missing-encoding", e.id))
         elif len(table) != dom_size[e.tail]:
             bad.append(("encoding-domain", e.id))
-        else:
-            size = resolve_size(e.size, k)
-            if any(not 0 <= x < size for x in table):
-                bad.append(("encoding-range", e.id))
+        elif min(table) < 0 or max(table) >= resolve_size(e.size, k):
+            bad.append(("encoding-range", e.id))
     for v, want in net.demands.items():
         table = scheme.decodings.get(v)
         if table is None:
@@ -370,14 +405,16 @@ def verify_scheme(net: Network, scheme: CodingScheme) -> ValidationReport:
         width = len(want)
         rows = list(itertools.takewhile(lambda row: len(row) == width, table))
         sizes = [resolve_size(net.messages[i - 1], k) for i in sorted(want)]
-        if any(not 0 <= x < s for row in rows for x, s in zip(row, sizes)):
+        if any(min(col) < 0 or max(col) >= s for col, s in zip(zip(*rows), sizes)):
             bad.append(("decoding-range", v))
         if len(rows) < len(table):
             bad.append(("decoding-width", v))
     if bad:
         return ValidationReport(False, tuple(bad))
-    failed = {v for v, idx, want in _decoder_pass(net, scheme) if scheme.decodings[v][idx] != want}
-    bad.extend(("decode", v) for v in sorted(failed))
+    cols, n = _columns(net, k, scheme.encodings), len(layout.tuples)
+    bad.extend(("decode", v) for v in sorted(net.demands) if any(map(
+        operator.ne, map(scheme.decodings[v].__getitem__, _index_column(layout.domain[v], cols, n)),
+        _rows(net.demands[v], cols))))
     return ValidationReport(not bad, tuple(bad))
 
 
@@ -413,14 +450,15 @@ class _Search:
     network, stops at a cut that refutes k (a demand node and its root edges,
     or a relay and its narrow out-edge; see the module docstring), and
     otherwise fixes the tuple order, the roots, the searched edges, their
-    domain columns, their symmetry eligibility, the dominance pins and the
-    frontier-cut checks.
+    domain columns, their symmetry eligibility, the dominance pins, the
+    blame bits of the pinned entries and the frontier-cut checks.
     A run (``solutions`` or ``decide``) takes the pin tables and the budget
     and starts from copies of the setup's rows and tables and from fresh
     keys, trail and failure counts, so one setup serves any number of runs
-    that differ only in their pin tables.  What a network's evaluation needs
-    at k (edge order, table domains, message tuples) is the network's
-    ``_layout``.
+    that differ only in their pin tables; it leaves only its trial count
+    (``searched``) and its core (``core``) on the setup.  What a network's
+    evaluation needs at k (edge order, table domains, message tuples) is the
+    network's ``_layout``.
     """
 
     def __init__(self, net: Network, k: int, pinned: Collection[str] = (),
@@ -560,15 +598,25 @@ class _Search:
         # any tuple with a value above j; the sort is stable, so each grade
         # stays in lexicographic order), the searched edges' tables with
         # every entry unset but those of the dominance pins (see the module
-        # docstring), and the frame bits of their entries (see
-        # ``solutions``), 0 for a dominance pin as for a caller's pin
+        # docstring), and the blame bits of their entries (see
+        # ``solutions``): one of its own for each entry of a caller's pin,
+        # in search order, and 0 for a dominance pin
         tail = [0] * (n + n_msgs + n)
         self.rows = [[*t, *tail] for t in (sorted(layout.tuples, key=max) if n_msgs else layout.tuples)]
         self.dominated = frozenset(e.id for e, ok in zip(self.edges, self.sym) if ok
                                    and e.id not in self.pinned and self.size[e.id] >= self.dom_size[e.id])
         self.blank = [(e.id, list(range(self.dom_size[e.id])) if e.id in self.dominated
                        else [-1] * self.dom_size[e.id]) for e in self.edges]
-        self.setter = [[0] * self.dom_size[e.id] for e in self.edges]
+        self.pin_entries: list = []  # (edge id, table index) of each pin bit
+        self.setter = []
+        for e in self.edges:
+            dom = self.dom_size[e.id]
+            if e.id in self.pinned:
+                bit = len(self.pin_entries)
+                self.pin_entries += [(e.id, d) for d in range(dom)]
+                self.setter.append([1 << (bit + d) for d in range(dom)])
+            else:
+                self.setter.append([0] * dom)
         self.sizes = [self.size[e.id] for e in self.edges]
 
     def solutions(self, pins: Mapping[str, Sequence[int]], budget: Optional[int]) -> Iterator[dict]:
@@ -578,11 +626,16 @@ class _Search:
         for exactly the edges the setup pinned; ``budget`` caps the entry
         trials, counted in ``searched`` from 0.
 
-        Backtracking jumps on conflict sets (see the module docstring).
-        Frames are numbered in creation order and a set of frames is an int
-        bitset.  After a solution every open frame is blamed, so every
-        solution is yielded."""
+        Backtracking jumps on conflict sets (see the module docstring).  A
+        conflict set is an int bitset: bit j < P for the j-th entry of
+        ``pin_entries`` (P of them), bit P + f for frame f, frames numbered
+        in creation order.  A jump goes to the newest frame blamed; when no
+        frame is left to blame the run ends, and what is left is its core,
+        kept in ``core`` as (edge id, table index) pairs in bit order (``()``
+        if a cut refuted k).  After a solution every open frame is blamed, so
+        every solution is yielded."""
         self.searched = 0
+        self.core = None
         if pins.keys() != self.pinned:
             raise ValueError(f"pins for {sorted(pins)}, but the setup pinned {sorted(self.pinned)}")
         pinned = {eid: tuple(t) for eid, t in pins.items()}
@@ -592,18 +645,21 @@ class _Search:
             if min(table) < 0 or max(table) >= self.size[eid]:
                 raise ValueError(f"pin for {eid!r} out of range")
         if self.cut is not None:
+            self.core = ()
             return
         n = len(self.edges)
         T = len(self.rows)
+        P = len(self.pin_entries)
         base = self.net.n_messages
         width = base + n
         # a row: the message values and one value per searched edge, then for
-        # each of those width cells the frames its value depends on: the one
-        # that set the entry it read (none for a pinned entry) and those of
-        # the cells that index that entry (none for a message)
+        # each of those width cells the blame bits its value depends on: the
+        # frame that set the entry it read (the entry's own bit for a
+        # caller's pin, none for a dominance pin) and those of the cells that
+        # index that entry (none for a message)
         rows = list(map(list.copy, self.rows))
         tables = [list(pinned[eid]) if eid in pinned else blank.copy() for eid, blank in self.blank]
-        setter = list(map(list.copy, self.setter))  # bit of the frame that set an entry
+        setter = list(map(list.copy, self.setter))  # blame bit of an entry
         sizes, dom_cols, sym = self.sizes, self.dom_cols, self.sym
         # per check, the index of the row that first stored each key
         checks_at = [[({}, *check) for check in at] for at in self.checks_at]
@@ -650,7 +706,7 @@ class _Search:
                         p += 1
                         continue
                     # the new frame blames itself, so it takes its first value
-                    conflict = setter[p][d] = 1 << len(frames)
+                    conflict = setter[p][d] = 1 << (P + len(frames))
                     row[width + base + p] = conflict | under
                     top = min(used[p], sizes[p] - 1) if sym[p] else sizes[p] - 1
                     # least-failed value first, ties in ascending value order
@@ -661,18 +717,18 @@ class _Search:
                 break
             else:
                 yield self._tables(tables, pinned)
-                conflict = (1 << len(frames)) - 1
+                conflict = ((1 << len(frames)) - 1) << P
                 solved = True
             # jump to the newest blamed frame, dropping the newer ones, count
             # a failure of its value and move it to its next value; an
             # exhausted frame blames what it collected
-            while conflict:
+            while conflict >> P:
                 h = conflict.bit_length() - 1
-                while len(frames) > h + 1:
+                while len(frames) > h - P + 1:
                     _, fp, d, _, _, before, _, _, _, _ = frames.pop()
                     tables[fp][d] = -1
                     used[fp] = before
-                frame = frames[h]
+                frame = frames[h - P]
                 fti, fp, d, i, top, before, mark, blamed, order, entry = frame
                 if i >= 0 and not solved:
                     counts = fails.get(entry)
@@ -700,6 +756,7 @@ class _Search:
                 ti, p = fti, fp + 1
                 break
             else:
+                self.core = tuple(e for j, e in enumerate(self.pin_entries) if conflict >> j & 1)
                 return
 
     def _tables(self, tables: list, pinned: Mapping[str, tuple]) -> dict:
@@ -722,7 +779,7 @@ class _Search:
         try:
             for tables in self.solutions(pins, budget):
                 return SolveOutcome(Status.SOLVABLE, _witness(self.net, self.k, tables), self.searched)
-            return SolveOutcome(Status.UNSOLVABLE_AT_K, None, self.searched, self.cut)
+            return SolveOutcome(Status.UNSOLVABLE_AT_K, None, self.searched, self.cut, self.core)
         except BudgetExhausted:
             return SolveOutcome(Status.BUDGET_EXHAUSTED, None, self.searched)
 

@@ -402,6 +402,8 @@ def test_gadget_build_and_verify(capsys, tmp_path):
     assert code == 0
     assert doc["accepted"] == 2 and doc["family_size"] == 16
     assert doc["double_oracle_agreement"] is True
+    # each refuted run's core refutes one other candidate of the 16
+    assert doc["network_runs"] == 8
 
 
 @pytest.mark.parametrize("name, accepted", [("virtual-eq", 4), ("virtual-or", 9)])
@@ -411,6 +413,8 @@ def test_conditional_virtual_checkers(capsys, tmp_path, name, accepted):
     code, doc = run_json(capsys, ["verify-checker", name, "--b", "2", "--w", "2", "--k", "1"])
     assert code == 0 and doc["double_oracle_agreement"] is True
     assert doc["family_size"] == 16 and doc["accepted"] == accepted
+    # every accepted candidate is searched, and some rejected one is not
+    assert accepted <= doc["network_runs"] < 16
     out_path = tmp_path / "net.json"
     assert run(["gadget-build", name, "--b", "2", "--w", "2", "-o", str(out_path)]) == 0
     capsys.readouterr()

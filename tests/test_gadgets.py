@@ -11,7 +11,7 @@ from pfsnet import gadgets as G
 from pfsnet import tiling as T
 from pfsnet.entropy import check, determined
 from pfsnet.model import DEFAULT, fixed, validate
-from pfsnet.solver import SolveOptions, enumerate_solutions, simulate, solve_at_k, verify_scheme
+from pfsnet.solver import SolveOptions, Status, enumerate_solutions, simulate, solve_at_k, verify_scheme
 
 ALL_CONSTRUCTORS = [
     G.xor_checker,
@@ -608,24 +608,134 @@ SHARED_SETUP_CASES = {
 }
 
 
+def shared_outcomes(gadget, entries, k):
+    """The network oracle's outcome on each entry, through one check per
+    candidate shape, each with whether its check searched it."""
+    checks: dict = {}
+    runs: dict = {}
+
+    def setup(first):
+        checks[G._shape(first)] = G._PinnedSearch(gadget, first, k, {})
+        return checks[G._shape(first)]
+
+    out = []
+    for entry, got in zip(entries, G._verdicts(entries, setup)):
+        shape = G._shape(entry)
+        out.append((got, checks[shape].runs > runs.get(shape, 0)))
+        runs[shape] = checks[shape].runs
+    return out
+
+
+def entropy_verdicts(gadget, entries, k):
+    return list(G._verdicts(entries, lambda first: G._SupportLayout(gadget, first, k, {}).holds))
+
+
 @pytest.mark.parametrize("gadget, family, k", SHARED_SETUP_CASES.values(), ids=SHARED_SETUP_CASES)
 def test_shared_setup_matches_fresh_solves(gadget, family, k):
     # one embedding and search setup per candidate shape gives, candidate by
-    # candidate, the verdict and the trial count of a fresh composition
+    # candidate, the verdict and the witness of a fresh composition.  A
+    # candidate it searches gets the fresh trial count and core too; one it
+    # skips is refuted afresh, and repeats the values of a core that an
+    # earlier run of its shape stored
     entries = G._normalize_family(gadget, family)
-    shared = list(G._verdicts(entries, lambda first: G._pinned_search(gadget, first, k, {})))
-    assert len(shared) == len(entries)
+    stored: dict = {}  # shape -> (core, its values) of each refuted run
     statuses = set()
-    for entry, got in zip(entries, shared):
+    skipped = 0
+    for entry, (got, ran) in zip(entries, shared_outcomes(gadget, entries, k)):
         comp = G._embedding(gadget, entry, k, {})
         fresh = solve_at_k(comp.net, k, SolveOptions(pins=dict(comp.pins)))
-        assert (got.status, got.searched) == (fresh.status, fresh.searched), entry_keys([entry])
-        assert got.scheme == fresh.scheme
+        assert (got.status, got.scheme) == (fresh.status, fresh.scheme), entry_keys([entry])
+        values = tuple(comp.pins[eid][d] for eid, d in got.core or ())
+        if ran:
+            assert got == fresh
+            if got.core is not None:
+                stored.setdefault(G._shape(entry), []).append((got.core, values))
+        else:
+            skipped += 1
+            assert (got.status, got.searched) == (Status.UNSOLVABLE_AT_K, 0)
+            assert (got.core, values) in stored[G._shape(entry)]
         if got.solvable:
             assert verify_scheme(comp.net, got.scheme).ok
             assert all(got.scheme.encodings[e] == t for e, t in comp.pins.items())
         statuses.add(got.status)
     assert len(statuses) == 2  # both verdicts occur
+    assert skipped > 0
+
+
+def narrow_checker():
+    """A binary signal Z that must carry a ternary message: a cut refutes
+    every embedding, whatever Z's table."""
+    b = G._Builder("narrow_checker")
+    b.message_in("M", 3)
+    z = b.signal_in("Z", 2)
+    b.demand("dm", ["M"], [z])
+    return b.build()
+
+
+def broken_checker():
+    """A binary internal G of (A, B) that must determine B alone and A with
+    B, which no function does, beside a demand that reads the signal Z.
+    The bound passes, and the search refutes every embedding without
+    blaming Z's table."""
+    b = G._Builder("broken_checker")
+    b.message_in("A", 2)
+    b.message_in("B", 2)
+    z = b.signal_in("Z", 2)
+    g = b.internal("G", ["A", "B"], 2)
+    b.demand("db", ["B"], [g])
+    b.demand("da", ["A"], [g, "B"])
+    b.demand("dz", ["A"], [z, "B"])
+    return b.build()
+
+
+@pytest.mark.parametrize("ctor, family", [
+    (narrow_checker, F.all_functions("Z", [("M", 3), ("Q", 2)], 2)),
+    (broken_checker, F.all_functions("Z", [("A", 2), ("B", 2)], 2)),
+], ids=["cut", "no-pin"])
+def test_an_empty_core_skips_every_later_candidate(ctor, family):
+    # the first candidate's refutation rests on no pin, so it refutes every
+    # later candidate of the shape without a run; the oracles still agree
+    gadget = ctor()
+    entries = G._normalize_family(gadget, mixed(family))
+    outcomes = shared_outcomes(gadget, entries, 1)
+    shapes = {}  # shape -> its first outcome
+    for entry, (got, ran) in zip(entries, outcomes):
+        first = shapes.setdefault(G._shape(entry), got)
+        assert ran == (got is first)
+        assert (got.status, got.core, got.cut) == (Status.UNSOLVABLE_AT_K, (), first.cut)
+        assert got.searched == 0 or got is first
+        comp = G._embedding(gadget, entry, 1, {})
+        fresh = solve_at_k(comp.net, 1, SolveOptions(pins=dict(comp.pins)))
+        assert (fresh.status, fresh.core, fresh.cut) == (got.status, got.core, got.cut)
+    assert len(shapes) == 2
+    assert all((got.cut is None) == (ctor is broken_checker) for got in shapes.values())
+    assert all(got.searched > 0 for got in shapes.values()) == (ctor is broken_checker)
+    assert [got.solvable for got, _ in outcomes] == entropy_verdicts(gadget, entries, 1)
+
+
+@pytest.mark.parametrize("gadget, family, k", [
+    (G.switch_gate(), F.switch_family(), 1),
+    (G.cycles_gate(), F.cycles_family(3), 3),
+    (G.bstate_checker(2), mixed(F.bstate_family(2)), 1),
+], ids=["switch", "cycles3", "bstate2-mixed"])
+def test_shuffled_family_finds_its_cores_in_another_order(gadget, family, k):
+    # the cores a family's runs store depend on the order of its candidates,
+    # the verdicts do not, and they agree with the entropy oracle's
+    def cores(outcomes):
+        return tuple(got.core for got, ran in outcomes if ran and got.core is not None)
+
+    entries = G._normalize_family(gadget, family)
+    outcomes = shared_outcomes(gadget, entries, k)
+    entropy = entropy_verdicts(gadget, entries, k)
+    assert [got.solvable for got, _ in outcomes] == entropy
+    orders = {cores(outcomes)}
+    for seed in (1, 2):
+        perm = random.Random(seed).sample(range(len(entries)), len(entries))
+        got = shared_outcomes(gadget, [entries[i] for i in perm], k)
+        assert [o.status for o, _ in got] == [outcomes[i][0].status for i in perm]
+        assert [o.solvable for o, _ in got] == [entropy[i] for i in perm]
+        orders.add(cores(got))
+    assert len(orders) == 3
 
 
 @pytest.mark.parametrize("gadget, family, k", [

@@ -1,3 +1,4 @@
+import collections
 import copy
 import dataclasses
 import itertools
@@ -30,8 +31,10 @@ from pfsnet.solver import (
     SolveOptions,
     Status,
     derive_decodings,
+    edge_eval_order,
     enumerate_solutions,
     naive_solve_at_k,
+    simulate,
     solve_at_k,
     _Search,
     cut_at,
@@ -315,15 +318,15 @@ def random_table(rng: random.Random, net: Network, e: Edge, k: int) -> tuple:
 def test_a_run_keeps_no_state_in_its_setup(butterfly, classic_butterfly):
     # the keys, the trail, the rows and the tables of a run are its own: the
     # setup's attributes keep their objects and their contents (the run
-    # templates included), and gain only the count.  The parity gate's one
-    # tabled edge is pinned, so its runs set no entry; the classic
-    # butterfly's runs search the edges left free
+    # templates included), and gain only the count and the core.  The
+    # parity gate's one tabled edge is pinned, so its runs set no entry; the
+    # classic butterfly's runs search the edges left free
     for net in (butterfly.net, classic_butterfly):
         pinned = next(e.id for e in net.edges if e.tail not in net.broadcast)
         search = _Search(net, 2, [pinned])
 
         def state():
-            return {name: v for name, v in vars(search).items() if name != "searched"}
+            return {name: v for name, v in vars(search).items() if name not in ("searched", "core")}
 
         ids = {name: id(v) for name, v in state().items()}
         # the checks' key readers compare by identity, so the copy shares them
@@ -332,11 +335,61 @@ def test_a_run_keeps_no_state_in_its_setup(butterfly, classic_butterfly):
         searched = 0
         for table in itertools.product(range(2), repeat=search.dom_size[pinned]):
             out = search.decide({pinned: table}, None)
-            assert out.searched == solve_at_k(net, 2, SolveOptions(pins={pinned: table})).searched
+            fresh = solve_at_k(net, 2, SolveOptions(pins={pinned: table}))
+            assert (out.searched, out.core) == (fresh.searched, fresh.core)
             assert {name: id(v) for name, v in state().items()} == ids
             assert state() == before
             searched += out.searched
         assert searched > 0 or net is butterfly.net
+
+
+def evaluate_tuple_by_tuple(net: Network, k: int, encodings) -> list:
+    """Reference evaluation, one message tuple at a time: per tuple, the
+    messages 1..l and then every edge's value in ``edge_eval_order``."""
+    out = []
+    for msg in itertools.product(*(range(resolve_size(m, k)) for m in net.messages)):
+        values = dict(zip(range(1, net.n_messages + 1), msg))
+        for e in edge_eval_order(net):
+            if e.tail in net.broadcast:
+                values[e.id] = values[net.in_edges(e.tail)[0].id]
+                continue
+            idx = 0
+            for src, size in table_domain(net, k, e.tail):
+                idx = idx * size + values[src]
+            values[e.id] = encodings[e.id][idx]
+        out.append(values)
+    return out
+
+
+def test_column_evaluation_matches_a_tuple_by_tuple_loop():
+    # simulate, derive_decodings and verify_scheme evaluate the tables one
+    # column per message and edge; on random tables they agree with the
+    # loop over tuples, and a derived scheme verifies iff every demand's
+    # input determines its messages on every tuple.  Evaluation needs every
+    # relay's out-edges as wide as its in-edge at k: a narrower one would
+    # carry values outside its alphabet
+    rng = random.Random(20261021)
+    verdicts = set()
+    for trial in range(120):
+        net = random_pruning_net(rng)
+        for k in (1, 2):
+            if any(e.size.resolve(k) < net.in_edges(v)[0].size.resolve(k)
+                   for v in net.broadcast for e in net.out_edges(v)):
+                continue
+            encodings = {e.id: random_table(rng, net, e, k) for e in net.edges if e.tail not in net.broadcast}
+            want = evaluate_tuple_by_tuple(net, k, encodings)
+            scheme = derive_decodings(net, k, encodings)
+            assert list(simulate(net, scheme)) == want
+            decodes = True
+            for v, demanded in net.demands.items():
+                seen: dict = {}
+                for values in want:
+                    key = tuple(values[src] for src, _ in table_domain(net, k, v))
+                    got = tuple(values[i] for i in sorted(demanded))
+                    decodes &= seen.setdefault(key, got) == got
+            assert verify_scheme(net, scheme).ok == decodes
+            verdicts.add(decodes)
+    assert verdicts == {False, True}
 
 
 def test_one_network_answers_every_k_as_fresh_copies_do(classic_butterfly):
@@ -364,6 +417,43 @@ def test_one_network_answers_every_k_as_fresh_copies_do(classic_butterfly):
             assert verify_scheme(net, other) == verify_scheme(dataclasses.replace(classic_butterfly), other)
             assert not verify_scheme(net, other).ok
     assert [rep.violations for rep in reports] == [(), (("decode", "t1"), ("decode", "t2"))] * 3
+
+
+def test_every_pin_set_that_repeats_a_core_is_unsolvable():
+    # a refutation's core names the pinned entries it rests on: pin tables
+    # that agree with the refuted ones there are refuted too, by the naive
+    # oracle, whatever the tables hold elsewhere.  A cut rests on no pin
+    rng = random.Random(20261021)
+    seen = collections.Counter()
+    for trial in range(600):
+        net = random_pruning_net(rng)
+        tabled = [e for e in net.edges if e.tail not in net.broadcast]
+        if not tabled:
+            continue
+        pinned = rng.sample(tabled, min(len(tabled), rng.randint(1, 2)))
+        for k in (1, 2):
+            pins = {e.id: random_table(rng, net, e, k) for e in pinned}
+            got = solve_at_k(net, k, SolveOptions(pins=pins))
+            if got.status is not Status.UNSOLVABLE_AT_K:
+                assert got.core is None
+                continue
+            if got.cut is not None:
+                assert got.core == ()
+                continue
+            entries = [(e.id, d) for e in pinned for d in range(len(pins[e.id]))]
+            assert set(got.core) <= set(entries) and len(set(got.core)) == len(got.core)
+            free = [(eid, d) for eid, d in entries if (eid, d) not in got.core]
+            seen["empty" if not got.core else "partial" if free else "full"] += 1
+            sizes = {e.id: e.size.resolve(k) for e in pinned}
+            # an empty core gives any pins: one draw suffices, as the other
+            # oracle tests draw pins at random too
+            for _ in range(8 if got.core else 1):
+                tables = {eid: list(t) for eid, t in pins.items()}
+                for eid, d in free:
+                    tables[eid][d] = rng.randrange(sizes[eid])
+                assert not naive_solve_at_k(net, k, pins=tables), (trial, k, pins, got.core, tables, net)
+                seen["agreeing"] += 1
+    assert seen["empty"] > 100 and seen["partial"] > 20 and seen["full"] > 10, seen
 
 
 def test_one_setup_serves_runs_with_other_pins():
