@@ -134,7 +134,7 @@ class _Builder:
         spec = size if isinstance(size, SizeSpec) else fixed(size)
         self.ports.append(Port(name, PortKind.SIGNAL_IN, spec))
         dist = f"{name}.bc"
-        self.nodes.append((dist, False))  # becomes a broadcast relay once fed
+        self.nodes.append((dist, True))  # a relay: every composition feeds it
         self.sig_in[name] = dist
         return _Sig(name, dist, spec)
 
@@ -520,12 +520,13 @@ def _table_keys(where: str, cf: CandidateFunction, size: int, in_sizes: Mapping[
 
 def _candidate_values(where: str, cf: CandidateFunction, size: int, keys: Sequence[tuple]) -> tuple:
     """The values of ``cf`` at ``keys`` (``_table_keys`` of its shape), each
-    checked to be in [0..size); a missing or out-of-range entry raises for
-    the first one in key order.  Both acceptance oracles check every
+    checked to be an int in [0..size) (a bool or float is refused, not read
+    as the int it equals); a missing, non-int or out-of-range entry raises
+    for the first one in key order.  Both acceptance oracles check every
     candidate here."""
     try:
         values = tuple(map(cf.table.__getitem__, keys))
-        if set(values).issubset(range(size)):
+        if {int}.issuperset(map(type, values)) and set(values).issubset(range(size)):
             return values
     except (KeyError, TypeError):
         pass
@@ -535,6 +536,8 @@ def _candidate_values(where: str, cf: CandidateFunction, size: int, keys: Sequen
             val = cf.table[key]
         except KeyError:
             raise ComposeError(f"{where}: candidate table missing entry {key}")
+        if type(val) is not int:
+            raise ComposeError(f"{where}: candidate value {val!r} at {key} is not an int")
         if not 0 <= val < size:
             raise ComposeError(f"{where}: candidate value {val} out of range [0,{size})")
         values.append(val)
@@ -716,7 +719,6 @@ class _Composer:
         # feed bound signal inputs
         for p, dist, ref, cf in feeds:
             head = prefix + dist
-            self.broadcast.add(head)
             if isinstance(ref, Out):
                 src_dist, spec = self._output(f"{part}.{p.name}", ref)
                 if p.size is not None and spec != p.size:
@@ -756,8 +758,8 @@ class _Composer:
                             domain.append(comp)
                 self._pin(prefix + eid, part, name, cf, edge.size, domain)
         # condition wiring: deliver to every producer/demand node of the part,
-        # the non-broadcast nodes that do not distribute a signal input
-        targets = [v for v, bc in g.nodes if not bc and v not in g.sig_in.values()]
+        # its non-broadcast nodes
+        targets = [v for v, bc in g.nodes if not bc]
         for wp in cond_ports:
             indices, outputs = set(), []
             for i, comp in enumerate(inject[wp]):

@@ -59,12 +59,15 @@ which some cut refutes every k.
 
 Relay capacity is a cut of the same form.  A broadcast relay forwards its
 in-edge's value verbatim, so each of its out-edges must be at least as wide
-as the in-edge at k (``verify_scheme``'s ``broadcast-capacity`` rule); an
-out-edge of size k^a·c below the in-edge's k^b·d refutes k, whatever the
-tables and pins.  These bounds come after every demand node's, relays in
-sorted order, and such a cut names the relay and its narrow out-edge.  An
-out-edge whose size spec equals the in-edge's never fires and yields no
-bound; every relay that ``compose`` builds is of that kind.
+as the in-edge at k; an out-edge of size k^a·c below the in-edge's k^b·d
+refutes k, whatever the tables and pins.  These bounds (``_relay_bounds``)
+come after every demand node's, relays in sorted order, and such a cut
+names the relay and its narrow out-edge.  They are the one relay-capacity
+test: the setup, ``verify_scheme``'s ``broadcast-capacity`` rule and the
+evaluation behind ``simulate`` and ``derive_decodings`` (which refuses such
+a network with a ``ValueError``) all read them.  An out-edge whose size spec
+equals the in-edge's never fires and yields no bound; every relay that
+``compose`` builds is of that kind.
 
 Under symmetry breaking the setup also pins by dominance (Chu & Stuckey
 2015): a searched edge e that can carry its tail's whole view, size(e) >=
@@ -207,21 +210,31 @@ def _k_form(specs: Sequence) -> tuple:
     return len(specs) - len(fixed), math.prod(fixed)
 
 
+def _root(net: Network, e):
+    """The edge whose value ``e`` carries: ``e`` itself, or for a broadcast
+    out-edge the root of its relay's in-edge.  The one relay walk."""
+    while e.tail in net.broadcast:
+        e = net.in_edges(e.tail)[0]
+    return e
+
+
 def _cut_bounds(net: Network) -> Iterator[tuple]:
     """Per demand node in sorted order: its Cut, the (a, c) of the sizes of
     the distinct root edges into it and the (b, d) of the sizes of the
-    messages it demands but does not source.  Then per broadcast relay in
-    sorted order, per out-edge whose size spec differs from the relay's
-    in-edge's: Cut(relay, (out-edge id,)), the (a, c) of the out-edge's size
-    and the (b, d) of the in-edge's.  The network must be valid."""
+    messages it demands but does not source; then ``_relay_bounds``.  The
+    network must be valid."""
     for t in sorted(net.demands):
-        roots = {}
-        for f in net.in_edges(t):
-            while f.tail in net.broadcast:
-                f = net.in_edges(f.tail)[0]
-            roots[f.id] = f.size
+        roots = {r.id: r.size for r in (_root(net, f) for f in net.in_edges(t))}
         need = [net.messages[i - 1] for i in net.demands[t] - net.source_set(t)]
         yield Cut(t, tuple(sorted(roots))), _k_form(list(roots.values())), _k_form(need)
+    yield from _relay_bounds(net)
+
+
+def _relay_bounds(net: Network) -> Iterator[tuple]:
+    """The relay-capacity bounds: per broadcast relay in sorted order, per
+    out-edge whose size spec differs from the relay's in-edge's,
+    Cut(relay, (out-edge id,)), the (a, c) of the out-edge's size and the
+    (b, d) of the in-edge's.  The network must be valid."""
     for v in sorted(net.broadcast):
         f = net.in_edges(v)[0]
         for e in net.out_edges(v):
@@ -229,13 +242,15 @@ def _cut_bounds(net: Network) -> Iterator[tuple]:
                 yield Cut(v, (e.id,)), _k_form([e.size]), _k_form([f.size])
 
 
+def _refuting(bounds: Iterator[tuple], k: int) -> Iterator[Cut]:
+    """The cuts of ``bounds`` that refute k: those with k^a·c < k^b·d."""
+    return (cut for cut, (a, c), (b, d) in bounds if k ** a * c < k ** b * d)
+
+
 def cut_at(net: Network, k: int) -> Optional[Cut]:
     """The first cut that refutes the valid network at k, demand nodes'
     before relays', or None."""
-    for cut, (a, c), (b, d) in _cut_bounds(net):
-        if k ** a * c < k ** b * d:
-            return cut
-    return None
+    return next(_refuting(_cut_bounds(net), k), None)
 
 
 def _least_k(e: int, x: int, y: int) -> int:
@@ -321,9 +336,15 @@ def _columns(net: Network, k: int, encodings: Mapping[str, Sequence[int]]) -> di
     """The evaluation of the encoding tables at k column-wise: for each
     message index (int) and then each edge id (str) in ``edge_eval_order``,
     its value on every message tuple of ``_layout(net, k).tuples``, in
-    order.  A broadcast out-edge shares its relay's in-edge's list.  The one
-    evaluation behind ``simulate``, ``derive_decodings`` and
+    order.  A broadcast out-edge shares its relay's in-edge's list, so every
+    relay's out-edges must be as wide as its in-edge at k: a relay's cut at k
+    (``_relay_bounds``) raises ``ValueError`` naming the narrow out-edge.
+    The one evaluation behind ``simulate``, ``derive_decodings`` and
     ``verify_scheme``."""
+    narrow = next(_refuting(_relay_bounds(net), k), None)
+    if narrow is not None:
+        raise ValueError(f"broadcast out-edge {narrow.edges[0]!r} of relay {narrow.node!r} "
+                         f"is narrower than its in-edge at k={k}")
     layout = _layout(net, k)
     n = len(layout.tuples)
     cols: dict = {i: [t[i - 1] for t in layout.tuples] for i in range(1, net.n_messages + 1)}
@@ -339,7 +360,8 @@ def _columns(net: Network, k: int, encodings: Mapping[str, Sequence[int]]) -> di
 def simulate(net: Network, scheme: CodingScheme) -> Iterator[dict]:
     """For every message tuple, yield one mapping from message index (int)
     and edge id (str) to value: the messages 1..l, then the edge signals in
-    ``edge_eval_order``."""
+    ``edge_eval_order``.  A relay out-edge narrower at k than its in-edge
+    raises ``ValueError`` (see ``_columns``)."""
     cols = _columns(net, scheme.k, scheme.encodings)
     for t in range(len(_layout(net, scheme.k).tuples)):
         yield {label: col[t] for label, col in cols.items()}
@@ -350,10 +372,13 @@ def derive_decodings(net: Network, k: int, encodings: Mapping[str, Sequence[int]
 
     Table entries never exercised by any message tuple are zero-filled.  If
     the encodings do not actually separate some demand, the resulting scheme
-    simply fails verify_scheme.
+    simply fails verify_scheme.  A relay out-edge narrower at k than its
+    in-edge cannot carry its value, so no scheme exists there: that raises
+    ``ValueError`` naming the out-edge (see ``_columns``).
     """
+    cols = _columns(net, k, encodings)
     layout = _layout(net, k)
-    cols, n = _columns(net, k, encodings), len(layout.tuples)
+    n = len(layout.tuples)
     tables = {}
     for v, want in net.demands.items():
         table = tables[v] = [(0,) * len(want)] * layout.dom_size[v]
@@ -376,11 +401,7 @@ def verify_scheme(net: Network, scheme: CodingScheme) -> ValidationReport:
     layout = _layout(net, k)
     dom_size = layout.dom_size
     forced = {e.id for e in net.edges if e.tail in net.broadcast}
-    for v in sorted(net.broadcast):
-        ins = resolve_size(net.in_edges(v)[0].size, k)
-        for e in net.out_edges(v):
-            if resolve_size(e.size, k) < ins:
-                bad.append(("broadcast-capacity", e.id))
+    bad.extend(("broadcast-capacity", cut.edges[0]) for cut in _refuting(_relay_bounds(net), k))
     for e in net.edges:
         if e.id in forced:
             if e.id in scheme.encodings:
@@ -434,9 +455,9 @@ class _Search:
     searched edges are evaluated in ``edge_eval_order``.  An entry that a
     tuple reaches for the first time is a branch point; entries no tuple
     reaches are never tried.  A broadcast out-edge is never evaluated: it
-    carries the value of its root, the non-broadcast edge at the head of its
-    relay chain.  Only edges upstream of a demand are searched; the others
-    cannot affect any decoder.
+    carries the value of its root (``_root``), the non-broadcast edge at the
+    head of its relay chain.  Only edges upstream of a demand are searched;
+    the others cannot affect any decoder.
 
     Each tuple's values live in one row: the message values, then one value
     per searched edge.  After position p of a tuple (its first p searched
@@ -451,7 +472,12 @@ class _Search:
     or a relay and its narrow out-edge; see the module docstring), and
     otherwise fixes the tuple order, the roots, the searched edges, their
     domain columns, their symmetry eligibility, the dominance pins, the
-    blame bits of the pinned entries and the frontier-cut checks.
+    blame bits of the pinned entries and the frontier-cut checks.  An edge
+    is symmetry-eligible (``sym``) when symmetry breaking is on and no
+    consumer of its value, directly or through relays, has a caller-pinned
+    out-edge: its head is not marked, where one backward pass marks the
+    pinned edges' tails and then every relay with an out-edge into a marked
+    node.  The dominance pins (``dominated``) are drawn from those edges.
     A run (``solutions`` or ``decide``) takes the pin tables and the budget
     and starts from copies of the setup's rows and tables and from fresh
     keys, trail and failure counts, so one setup serves any number of runs
@@ -485,14 +511,8 @@ class _Search:
             return
         layout = _layout(net, k)
         n_msgs = net.n_messages
-        root: dict = {}
-        self.tabled = []  # edges with a table of their own
-        for e in layout.order:
-            if e.tail in net.broadcast:
-                root[e.id] = root[net.in_edges(e.tail)[0].id]
-            else:
-                root[e.id] = e.id
-                self.tabled.append(e)
+        root = {e.id: _root(net, e) for e in layout.order}
+        self.tabled = [e for e in layout.order if e.tail not in net.broadcast]  # edges with a table of their own
         self.size = {e.id: resolve_size(e.size, k) for e in self.tabled}
         self.dom_size = {e.id: layout.dom_size[e.tail] for e in self.tabled}
         # a demand its own sources satisfy needs nothing; the others make
@@ -503,36 +523,27 @@ class _Search:
         while stack:
             for f in net.in_edges(stack.pop()):
                 r = root[f.id]
-                if r not in relevant:
-                    relevant.add(r)
-                    stack.append(by_id[r].tail)
+                if r.id not in relevant:
+                    relevant.add(r.id)
+                    stack.append(r.tail)
         self.edges = [e for e in self.tabled if e.id in relevant]
         pos = {e.id: q for q, e in enumerate(self.edges)}
         n = len(self.edges)
         # row columns and radices of each searched edge's domain index: a
         # message's column, or that of the searched edge an in-edge relays
         # (the in-edges of a searched edge's tail are upstream of a demand too)
-        self.dom_cols = [[(src - 1 if isinstance(src, int) else n_msgs + pos[root[src]], size)
+        self.dom_cols = [[(src - 1 if isinstance(src, int) else n_msgs + pos[root[src].id], size)
                           for src, size in layout.domain[e.tail]] for e in self.edges]
-        # symmetry-breaking eligibility: every consumer of the edge's value,
-        # following forced relays, must be free to relabel (no pinned out-edge)
-        self.sym = []
-        for e in self.edges:
-            ok = symmetry_breaking
-            stack = [e.head] if self.pinned else []
-            seen = set()
-            while stack and ok:
-                u = stack.pop()
-                if u in seen:
-                    continue
-                seen.add(u)
-                for f in net.out_edges(u):
-                    if f.id in self.pinned:
-                        ok = False
-                        break
-                    if u in net.broadcast:
-                        stack.append(f.head)
-            self.sym.append(ok)
+        # symmetry-breaking eligibility (see above): mark the pinned edges'
+        # tails, then every relay with an out-edge into a marked node
+        marked = {by_id[eid].tail for eid in self.pinned}
+        stack = list(marked)
+        while stack:
+            for f in net.in_edges(stack.pop()):
+                if f.tail in net.broadcast and f.tail not in marked:
+                    marked.add(f.tail)
+                    stack.append(f.tail)
+        self.sym = [symmetry_breaking and e.head not in marked for e in self.edges]
         # frontier cuts.  With the first p searched edges of a tuple
         # evaluated, a node is open if some path from it to demand v uses
         # only unevaluated edges.  v's input is then a function of the
@@ -556,7 +567,7 @@ class _Search:
                 w = heapq.heappop(heap)[1]
                 bw = b[w]
                 if w not in feeds:
-                    feeds[w] = sorted({(pos[root[f.id]], by_id[root[f.id]].tail) for f in net.in_edges(w)})
+                    feeds[w] = sorted({(pos[root[f.id].id], root[f.id].tail) for f in net.in_edges(w)})
                 for q, u in feeds[w]:
                     if last.get(q, -1) < bw:
                         last[q] = bw
@@ -642,8 +653,9 @@ class _Search:
         for eid, table in pinned.items():
             if len(table) != self.dom_size[eid]:
                 raise ValueError(f"pin for {eid!r} has length {len(table)}, expected {self.dom_size[eid]}")
-            if min(table) < 0 or max(table) >= self.size[eid]:
-                raise ValueError(f"pin for {eid!r} out of range")
+            # a bool or float is refused, not read as the int it equals
+            if not {int}.issuperset(map(type, table)) or min(table) < 0 or max(table) >= self.size[eid]:
+                raise ValueError(f"pin for {eid!r} out of range: its entries must be ints in [0,{self.size[eid]})")
         if self.cut is not None:
             self.core = ()
             return

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -801,6 +802,20 @@ def test_both_oracles_refuse_malformed_candidates(ctor, entry, well):
                 oracle(ctor(), [well, well, entry, well], 2)
             assert str(later.value) == str(alone.value)
             assert later.value.index == 2
+
+
+@pytest.mark.parametrize("bad", [1.0, 1.5, True], ids=["float-1.0", "float-1.5", "bool"])
+def test_both_oracles_refuse_non_int_values(bad):
+    # a value that equals an int, or lies between two, is refused, not read
+    # as the int it equals, so the two oracles cannot disagree on it: both
+    # name the first bad key, alone and after a well-formed candidate
+    entry = {"Y": G.CandidateFunction("Y", ("M1", "M2"), {**PARITY, (1, 0): bad, (1, 1): 2.5}, 2)}
+    msg = re.escape(f"xor_checker.Y: candidate value {bad!r} at (1, 0) is not an int")
+    for oracle in (G.accepted_set, G.entropy_accepted_set):
+        for family, index in (([entry], 0), ([WELL_FORMED_Y, entry], 1)):
+            with pytest.raises(G.ComposeError, match=msg) as err:
+                oracle(G.xor_checker(), family, 1)
+            assert err.value.index == index
 
 
 def test_gadget_json():

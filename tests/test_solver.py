@@ -7,6 +7,7 @@ import math
 import operator
 import pathlib
 import random
+import re
 from typing import Optional
 
 import pytest
@@ -361,20 +362,43 @@ def evaluate_tuple_by_tuple(net: Network, k: int, encodings) -> list:
     return out
 
 
+def zero_tables(net: Network, k: int) -> dict:
+    """An all-zero encoding table for every non-broadcast edge."""
+    return {e.id: (0,) * math.prod(size for _, size in table_domain(net, k, e.tail))
+            for e in net.edges if e.tail not in net.broadcast}
+
+
+def narrow_out_edges(net: Network, k: int) -> list:
+    """(relay, out-edge id) of every broadcast out-edge narrower at k than its
+    relay's in-edge, relays and then out-edges in sorted order."""
+    return [(v, e.id) for v in sorted(net.broadcast) for e in net.out_edges(v)
+            if e.size.resolve(k) < net.in_edges(v)[0].size.resolve(k)]
+
+
 def test_column_evaluation_matches_a_tuple_by_tuple_loop():
     # simulate, derive_decodings and verify_scheme evaluate the tables one
     # column per message and edge; on random tables they agree with the
     # loop over tuples, and a derived scheme verifies iff every demand's
     # input determines its messages on every tuple.  Evaluation needs every
     # relay's out-edges as wide as its in-edge at k: a narrower one would
-    # carry values outside its alphabet
+    # carry values outside its alphabet, so simulate and derive_decodings
+    # refuse the network with a ValueError naming the first such out-edge
     rng = random.Random(20261021)
     verdicts = set()
+    refused = 0
     for trial in range(120):
         net = random_pruning_net(rng)
         for k in (1, 2):
-            if any(e.size.resolve(k) < net.in_edges(v)[0].size.resolve(k)
-                   for v in net.broadcast for e in net.out_edges(v)):
+            narrow = narrow_out_edges(net, k)
+            if narrow:
+                encodings = zero_tables(net, k)
+                v, eid = narrow[0]
+                msg = re.escape(f"broadcast out-edge {eid!r} of relay {v!r} is narrower than its in-edge at k={k}")
+                with pytest.raises(ValueError, match=msg):
+                    derive_decodings(net, k, encodings)
+                with pytest.raises(ValueError, match=msg):
+                    next(simulate(net, CodingScheme(k, encodings, {})))
+                refused += 1
                 continue
             encodings = {e.id: random_table(rng, net, e, k) for e in net.edges if e.tail not in net.broadcast}
             want = evaluate_tuple_by_tuple(net, k, encodings)
@@ -389,7 +413,33 @@ def test_column_evaluation_matches_a_tuple_by_tuple_loop():
                     decodes &= seen.setdefault(key, got) == got
             assert verify_scheme(net, scheme).ok == decodes
             verdicts.add(decodes)
-    assert verdicts == {False, True}
+    assert verdicts == {False, True} and refused > 0
+
+
+def test_broadcast_capacity_violations_are_the_relay_cuts_at_k():
+    # relay capacity has one bound: at every k the out-edges verify_scheme
+    # reports as broadcast-capacity are exactly those narrower at k than
+    # their relay's in-edge, in order, and the first of them is the cut that
+    # refutes k unless a demand node's cut comes first.  Relays of mixed
+    # sizes make the narrow set change with k
+    rng = random.Random(20261022)
+    seen = set()
+    for trial in range(150):
+        net = random_pruning_net(rng, naive_cap=None)
+        by_k = []
+        for k in (1, 2, 3, 4):
+            narrow = narrow_out_edges(net, k)
+            rep = verify_scheme(net, CodingScheme(k, zero_tables(net, k), {}))
+            assert [eid for rule, eid in rep.violations if rule == "broadcast-capacity"] == [e for _, e in narrow]
+            cut = cut_at(net, k)
+            assert cut is not None or not narrow
+            if cut is not None and cut.node in net.broadcast:
+                assert cut == Cut(narrow[0][0], (narrow[0][1],))
+                seen.add("relay-cut")
+            by_k.append(narrow)
+        if any(by_k) and not all(by_k):
+            seen.add("k-dependent")
+    assert seen == {"relay-cut", "k-dependent"}
 
 
 def test_one_network_answers_every_k_as_fresh_copies_do(classic_butterfly):
@@ -735,6 +785,9 @@ def test_narrow_relay_needs_no_search(capsys):
     assert out.status is Status.UNSOLVABLE_AT_K and out.searched == 0 and out.cut == Cut("r", ("b",))
     assert 10**6 not in net._layouts
     assert unsolvable_from(net) == 3
+    # no table lets b carry a's 3 values at k=3, so evaluation refuses it
+    with pytest.raises(ValueError, match="broadcast out-edge 'b' of relay 'r'"):
+        derive_decodings(net, 3, {"a": (0, 1, 2)})
     assert run(["solve", str(path), "--k", "1000000"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "unsolvable-at-k" and doc["searched"] == 0
@@ -811,3 +864,103 @@ def test_dominance_pins(classic_butterfly):
         assert _Search(n, 1).dominated == {"e1"}
         assert not _Search(n, 1, ["e2"]).dominated
         assert _Search(n, 1).blank[0] == ("e1", [0, 1]) and _Search(n, 1).setter[0] == [0, 0]
+
+
+def relay_chain_net(rng: random.Random) -> Network:
+    """A random network whose edges are often split through chains of one to
+    three broadcast relays, each relay feeding one or more readers after the
+    chain's tail (with the chain's size, so no relay is narrow)."""
+    size_pool = [fixed(2), fixed(3), DEFAULT]
+    while True:
+        n = rng.randint(3, 5)
+        nodes = [f"n{i}" for i in range(n)]
+        messages = tuple(rng.choice(size_pool) for _ in range(rng.randint(1, 2)))
+        edges, relays = [], set()
+        for i in range(rng.randint(2, 5)):
+            a, b = sorted(rng.sample(range(n), 2))
+            size = rng.choice(size_pool)
+            tail = f"n{a}"
+            for j in range(rng.choice((0, 0, 1, 2, 3))):
+                r = f"r{i}.{j}"
+                nodes.append(r)
+                relays.add(r)
+                edges.append(Edge(f"e{i}.{j}", tail, r, size))
+                tail = r
+                # a relay's other readers come after the chain's first tail
+                for x, c in enumerate(rng.sample(range(a + 1, n), min(n - a - 1, rng.choice((0, 0, 1, 2))))):
+                    edges.append(Edge(f"e{i}.{j}>{x}", r, f"n{c}", size))
+            edges.append(Edge(f"e{i}", tail, f"n{b}", size))
+        sources: dict = {}
+        for m in range(1, len(messages) + 1):
+            sources.setdefault(f"n{rng.randrange(n)}", set()).add(m)
+        heads = sorted({e.head for e in edges} - relays)
+        demands = {v: set(rng.sample(range(1, len(messages) + 1), rng.randint(1, len(messages))))
+                   for v in rng.sample(heads, min(len(heads), rng.randint(1, 3)))}
+        net = Network(tuple(nodes), tuple(edges), messages, sources, demands, relays)
+        if validate(net).ok:
+            return net
+
+
+def relays_to_a_pin(net: Network, e: Edge, pinned) -> Optional[int]:
+    """The forward walk that decided symmetry eligibility before the backward
+    pass, breadth first: the fewest relays passed from e's head, following
+    relays' out-edges, before a node with a caller-pinned out-edge; None if
+    no such node is reached (then e is eligible under symmetry breaking)."""
+    frontier, seen, hops = [e.head], {e.head}, 0
+    while frontier:
+        if any(f.id in pinned for u in frontier for f in net.out_edges(u)):
+            return hops
+        nxt = []
+        for u in frontier:
+            if u in net.broadcast:
+                for f in net.out_edges(u):
+                    if f.head not in seen:
+                        seen.add(f.head)
+                        nxt.append(f.head)
+        frontier, hops = nxt, hops + 1
+    return None
+
+
+def test_symmetry_eligibility_matches_the_forward_walk():
+    # the setup marks the pinned edges' tails and then every relay with an
+    # out-edge into a marked node, and an edge is eligible iff its head is
+    # unmarked: on random relay chains with 0-2 caller pins that is the
+    # forward walk's answer, with and without symmetry breaking, and the
+    # dominance pins are the eligible unpinned edges that can carry their
+    # tail's whole view.  Pins are reached through chains of two or more
+    # relays and through relays that feed several readers
+    rng = random.Random(20261023)
+    seen = set()
+    for trial in range(400):
+        net = relay_chain_net(rng)
+        tabled = [e.id for e in net.edges if e.tail not in net.broadcast]
+        pinned = rng.sample(tabled, min(len(tabled), rng.choice((0, 1, 1, 2, 2))))
+        for symmetry_breaking in (True, False):
+            search = _Search(net, 2, pinned, symmetry_breaking)
+            if search.cut is not None:
+                continue
+            hops = [relays_to_a_pin(net, e, pinned) for e in search.edges]
+            want = [symmetry_breaking and h is None for h in hops]
+            assert search.sym == want, (trial, pinned, net)
+            assert search.dominated == {
+                e.id for e, ok in zip(search.edges, want) if ok and e.id not in pinned
+                and resolve_size(e.size, 2) >= math.prod(s for _, s in table_domain(net, 2, e.tail))}
+            seen.add((len(pinned), symmetry_breaking))
+            seen.update(("hops", h) for h in hops if h is not None)
+            seen.update("fan-out" for e, h in zip(search.edges, hops)
+                        if h and len({f.head for f in net.out_edges(e.head)}) > 1)
+            seen.add(("dominated", bool(search.dominated)))
+    assert {(p, sb) for p in (0, 1, 2) for sb in (True, False)} <= seen
+    assert {("hops", 0), ("hops", 1), ("hops", 2), "fan-out", ("dominated", True)} <= seen
+
+
+@pytest.mark.parametrize("bad", [1.0, 1.5, True], ids=["float-1.0", "float-1.5", "bool"])
+def test_pins_refuse_non_int_entries(classic_butterfly, pigeonhole, bad):
+    # a pin entry that equals an int, or lies between two, is refused, not
+    # read as the int it equals, also where a cut refutes k before the search
+    msg = re.escape("pin for 's1>m' out of range: its entries must be ints in [0,2)")
+    with pytest.raises(ValueError, match=msg):
+        solve_at_k(classic_butterfly, 2, SolveOptions(pins={"s1>m": (0, bad)}))
+    assert cut_at(pigeonhole, 1) is not None
+    with pytest.raises(ValueError, match="pin for 'e1' out of range"):
+        solve_at_k(pigeonhole, 1, SolveOptions(pins={"e1": (0, bad, 0)}))
